@@ -13,7 +13,10 @@ with u_a^b = r^a Y_a^b / a.  Two independent routes are provided:
 
 * ``forward_measure``: for a coefficient field, the integral collapses to
   the finite series  M = sum_{q<=k} sum_{s<=k-q} Q_{l,s}^{k,m,q} c_{l+2s}^{q,m}
-  (exact to rounding, no truncation error);
+  (exact to rounding, no truncation error).  The constants Q come from
+  ``recon.coupling_operator``, built once per tuple of degree caps and
+  kept in a small bounded cache that ``recon.reconstruct`` shares, so the
+  series is one scatter-add per radial index k;
 * ``forward_measure_quadrature`` / ``oracle_measure``: direct ball
   quadrature of either integrand above, for arbitrary evaluable fields.
 
@@ -29,7 +32,7 @@ import numpy as np
 
 from . import specfun
 from .quadrature import BallQuadrature
-from .recon import big_q
+from .recon import coupling_operator
 from .zernike import CoefficientField, ZernikeIndex, as_caps
 
 __all__ = [
@@ -118,34 +121,36 @@ def forward_measure(c: CoefficientField, K: int, degree_caps) -> MeasurementSet:
     first offender.
     """
     caps = as_caps(K, degree_caps)
-    qcache: dict = {}
+    if not c.certified:
+        offender = _first_unsupported_demand(c, caps)
+        if offender is not None:
+            raise IncompleteSupportError(*offender)
+    op = coupling_operator(caps)
+    coeffs = np.zeros(op.col_base[-1], dtype=complex)
+    for idx, val in c.entries.items():
+        if idx.k <= K and idx.ell <= op.col_caps[idx.k]:
+            coeffs[op.column(idx.k, idx.ell, idx.m)] = val
+    # the q = k term comes last in the series, after the off-diagonal ones
+    values = np.concatenate(
+        [st.off_diagonal_sum(coeffs) + st.diag * coeffs[st.diag_cols] for st in op.stages]
+    )
+    return MeasurementSet(dict(zip(op.keys, values.tolist())), K, caps)
 
-    def coupling(ell: int, s: int, k: int, m: int, q: int) -> float:
-        key = (ell, s, k, m, q)
-        val = qcache.get(key)
-        if val is None:
-            val = big_q(ell, s, k, m, q)
-            qcache[key] = val
-        return val
 
-    values: dict = {}
-    for k in range(K + 1):
-        for ell in range(caps[k] + 1):
-            for m in range(-ell, ell + 1):
-                total = 0.0 + 0.0j
-                for q in range(k + 1):
-                    for s in range(k - q + 1):
-                        if not c.in_bounds(q, ell + 2 * s, m):
-                            if not c.certified:
-                                raise IncompleteSupportError(
-                                    (k, ell, m), (q, ell + 2 * s, m)
-                                )
-                            continue
-                        cc = c.get(q, ell + 2 * s, m)
-                        if cc != 0:
-                            total += coupling(ell, s, k, m, q) * cc
-                values[ZernikeIndex(k, ell, m)] = total
-    return MeasurementSet(values, K, caps)
+def _first_unsupported_demand(c: CoefficientField, caps: tuple):
+    """First (measurement, coefficient) pair whose coefficient lies outside
+    the bounds of ``c``, in (k, ell, m, q, s) order, or None.
+
+    The bounds do not depend on m (|m| <= ell <= ell + 2s always holds), so
+    the first offending order of a degree is m = -ell.
+    """
+    for k, cap in enumerate(caps):
+        for ell in range(cap + 1):
+            for q in range(k + 1):
+                for s in range(k - q + 1):
+                    if not c.in_bounds(q, ell + 2 * s, -ell):
+                        return (k, ell, -ell), (q, ell + 2 * s, -ell)
+    return None
 
 
 # angular kernels are reused heavily across radial shells and phantoms;

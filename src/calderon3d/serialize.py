@@ -71,9 +71,14 @@ def _parse_entries(doc, path):
     for row in raw:
         try:
             idx = ZernikeIndex(int(row["k"]), int(row["ell"]), int(row["m"]))
-            entries[idx] = complex(float(row["re"]), float(row["im"]))
+            re, im = float(row["re"]), float(row["im"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: malformed entry {row!r}") from exc
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise ValueError(
+                f"{path}: non-finite value in entry (k={idx.k}, ell={idx.ell}, m={idx.m})"
+            )
+        entries[idx] = complex(re, im)
     return entries
 
 

@@ -148,6 +148,19 @@ def test_simulate_series_beyond_certified_support_exits_2(tmp_path, small_field)
     assert code == 2
 
 
+def test_simulate_past_degree_cap_exits_2(tmp_path, capsys):
+    field = tmp_path / "field.json"
+    field.write_text('{"kmax": 0, "entries": [{"k": 0, "ell": 0, "m": 0, "re": 1, "im": 0}]}')
+    out = tmp_path / "x.json"
+    code = run(["simulate", "--coefficients", str(field), "--kmax", "0", "--caps", "130",
+                "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "DEGREE_CAP" in err and "k=0" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- reconstruct
 
 
@@ -200,6 +213,19 @@ def test_reconstruct_missing_measurements_exit_4(tmp_path, small_field, capsys):
     assert "absent" in capsys.readouterr().err
 
 
+def test_reconstruct_rejects_non_finite_measurements(tmp_path, small_field, capsys):
+    ms = make_measurements(tmp_path, small_field)
+    doc = json.loads(ms.read_text())
+    doc["entries"][3]["re"] = float("nan")
+    ms.write_text(json.dumps(doc))
+    out = tmp_path / "rec.json"
+    code = run(["reconstruct", "--measurements", str(ms), "--schedule", "4,2",
+                "--out", str(out)])
+    assert code == 2
+    assert "non-finite value in entry (k=0, ell=1, m=1)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- slice
 
 
@@ -231,6 +257,17 @@ def test_slice_offset_plane_marks_outside_points(tmp_path):
         inside = float(x) ** 2 + float(y) ** 2 + float(z) ** 2 <= 1.0
         assert float(x) == 0.5
         assert (v == "") == (not inside)
+
+
+def test_slice_rejects_non_finite_coefficients(tmp_path, capsys):
+    field = tmp_path / "nan.json"
+    field.write_text('{"kmax": 0, "entries": [{"k": 0, "ell": 0, "m": 0, "re": 1, "im": 0},\n'
+                     '{"k": 0, "ell": 1, "m": -1, "re": NaN, "im": Infinity}]}')
+    out = tmp_path / "s.csv"
+    assert run(["slice", "--coefficients", str(field), "--resolution", "5",
+                "--out", str(out)]) == 2
+    assert "non-finite value in entry (k=0, ell=1, m=-1)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_slice_partial_sum_at_kmax_equals_full(tmp_path, small_field):

@@ -1,5 +1,6 @@
 """Coupling constants, schedule feasibility, and the triangular solver."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from calderon3d.recon import (
     TruncationSchedule,
     big_d,
     big_q,
+    coupling_operator,
     reconstruct,
     tau,
     validate_schedule,
@@ -300,14 +302,16 @@ def test_divisor_underflow_warns(monkeypatch):
     rng = np.random.default_rng(10)
     c = random_field(0, (1,), rng)
     ms = forward_measure(c, 0, (1,))
-    original = recon.big_q
+    original = recon.coupling_operator
 
-    def tiny(ell, s, k, m, q, form="closed"):
-        if s == 0 and q == k:
-            return 1e-20
-        return original(ell, s, k, m, q, form)
+    def tiny(caps):
+        op = original(caps)
+        stages = tuple(
+            dataclasses.replace(st, diag=np.full_like(st.diag, 1e-20)) for st in op.stages
+        )
+        return dataclasses.replace(op, stages=stages)
 
-    monkeypatch.setattr(recon, "big_q", tiny)
+    monkeypatch.setattr(recon, "coupling_operator", tiny)
     with pytest.warns(DivisorUnderflowWarning):
         reconstruct(ms, TruncationSchedule((1,)))
 
@@ -320,3 +324,56 @@ def test_reconstructed_field_is_certified_within_schedule():
     assert rep.field.certified
     assert rep.field.kmax == 1
     assert rep.field.degree_caps == caps
+
+
+# ---------------------------------------------------------------- operator
+
+
+def test_operator_entries_equal_big_q():
+    caps = (8, 6, 4, 2)
+    op = coupling_operator(caps)
+    column = {
+        op.column(q, ell, m): (q, ell, m)
+        for q in range(len(caps))
+        for ell in range(op.col_caps[q] + 1)
+        for m in range(-ell, ell + 1)
+    }
+    assert op.keys == tuple(
+        ZernikeIndex(k, ell, m)
+        for k, cap in enumerate(caps)
+        for ell in range(cap + 1)
+        for m in range(-ell, ell + 1)
+    )
+    for k, st in enumerate(op.stages):
+        terms: dict = {}
+        for row, col, val in zip(st.rows, st.cols, st.vals):
+            terms.setdefault(int(row), []).append((column[int(col)], float(val)))
+        for row in range(st.size):
+            idx = op.keys[st.start + row]
+            assert idx.k == k
+            assert column[int(st.diag_cols[row])] == (k, idx.ell, idx.m)
+            assert st.diag[row] == big_q(idx.ell, 0, k, idx.m, k)
+            # every q < k term, in the series' (q, s) order
+            got = terms.get(row, [])
+            want = [(q, s) for q in range(k) for s in range(k - q + 1)]
+            assert [(q, (ell - idx.ell) // 2) for (q, ell, _), _ in got] == want
+            for (q, ell, m), val in got:
+                assert m == idx.m
+                assert val == big_q(idx.ell, (ell - idx.ell) // 2, k, idx.m, q)
+
+
+def test_forward_and_reconstruct_share_one_operator():
+    rng = np.random.default_rng(12)
+    caps = caps_for(2, 6)
+    c = random_field(2, caps, rng)
+    coupling_operator.cache_clear()
+    reconstruct(forward_measure(c, 2, caps), TruncationSchedule(caps))
+    info = coupling_operator.cache_info()
+    assert info.misses == 1 and info.hits == 1
+
+
+def test_operator_rejects_degrees_past_the_gaunt_cap():
+    # stage k = 2 needs Gaunt degree 125 + 2k = 129
+    with pytest.raises(ValueError, match="k=2") as err:
+        coupling_operator((120, 120, 125))
+    assert "DEGREE_CAP" in str(err.value)
