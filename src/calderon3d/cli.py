@@ -21,6 +21,7 @@ arguments or inputs, 3 infeasible schedule, 4 missing measurements,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -87,7 +88,10 @@ def _parse_plane(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"expected AXIS=OFFSET like z=0, got {text!r}")
     if axis not in ("x", "y", "z"):
         raise argparse.ArgumentTypeError(f"plane axis must be x, y or z, got {axis!r}")
-    return axis, float(offset)
+    value = float(offset)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"plane offset must be finite, got {offset!r}")
+    return axis, value
 
 
 def _add_quad_flags(p: argparse.ArgumentParser) -> None:
@@ -183,8 +187,7 @@ def cmd_simulate(args) -> int:
         else:
             eta = _phantom(args).build()
         ms = oracle_measure(eta, kmax, caps, _quad(args))
-    if args.noise > 0:
-        ms = add_noise(ms, args.noise, args.seed)
+    ms = add_noise(ms, args.noise, args.seed)
     dump_measurement_set(ms, args.out)
     print(f"wrote {args.out} ({len(ms.values)} measurements, K={ms.kmax})")
     return EXIT_OK

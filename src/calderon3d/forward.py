@@ -18,7 +18,9 @@ with u_a^b = r^a Y_a^b / a.  Two independent routes are provided:
   kept in a small bounded cache that ``recon.reconstruct`` shares, so the
   series is one scatter-add per radial index k;
 * ``forward_measure_quadrature`` / ``oracle_measure``: direct ball
-  quadrature of either integrand above, for arbitrary evaluable fields.
+  quadrature of the kernel Phi for arbitrary evaluable fields.  The
+  integral is separable: an azimuthal transform of the sampled field,
+  one normalised Legendre sweep per order and a radial power sum.
 
 Agreement of the two routes is the module's central cross-check.
 """
@@ -33,7 +35,7 @@ import numpy as np
 from . import specfun
 from .quadrature import BallQuadrature
 from .recon import coupling_operator
-from .zernike import CoefficientField, ZernikeIndex, as_caps
+from .zernike import CoefficientField, ZernikeIndex, _azimuthal_transform, as_caps
 
 __all__ = [
     "MeasurementSet",
@@ -153,60 +155,48 @@ def _first_unsupported_demand(c: CoefficientField, caps: tuple):
     return None
 
 
-# angular kernels are reused heavily across radial shells and phantoms;
-# keyed by (k, ell, m, form, n_theta, n_phi), which determines them fully
-_ANGULAR_CACHE: dict = {}
+def _oracle_values(eta_cube: np.ndarray, caps: tuple, quad: BallQuadrature) -> dict:
+    """Quadrature measurements of one sampled field for every index under ``caps``.
 
-
-def _angular_kernel(k: int, ell: int, m: int, form: str, sphere):
-    key = (k, ell, m, form, sphere.n_theta, sphere.n_phi)
-    hit = _ANGULAR_CACHE.get(key)
-    if hit is not None:
-        return hit
-    th, ph = sphere.grid()
-    a, b = k + 1, ell + k + 1
-    ya = specfun.sph_harm(a, 0, th, ph)
-    dya = specfun.sph_harm_surface_grad(a, 0, th, ph)[0]
-    if form == "phi":
-        # grad_S Y_a^0 has no azimuthal component, so the surface dot
-        # product keeps only the theta term
-        yb = specfun.sph_harm(b, -m, th, ph)
-        dyb = specfun.sph_harm_surface_grad(b, -m, th, ph)[0]
-        prefactor = 1.0 if m % 2 else -1.0
-    elif form == "gradient":
-        yb = np.conj(specfun.sph_harm(b, m, th, ph))
-        dyb = np.conj(specfun.sph_harm_surface_grad(b, m, th, ph)[0])
-        prefactor = -1.0
-    else:
-        raise ValueError(f"unknown oracle form {form!r}")
-    kernel = ya * yb + (dya * dyb) / (a * b)
-    out = (kernel, prefactor)
-    _ANGULAR_CACHE[key] = out
-    return out
-
-
-def _oracle_values(eta_cube: np.ndarray, indices, quad: BallQuadrature, form: str):
-    """Quadrature measurements for many indices over one sampled field."""
-    sphere = quad.sphere
-    weighted = eta_cube * (sphere.theta_weights[:, None] * sphere.phi_weight)
-    flat = weighted.reshape(quad.n_r, -1)
-    kernels = np.empty((flat.shape[1], len(indices)), dtype=complex)
-    prefactors = np.empty(len(indices))
-    for j, idx in enumerate(indices):
-        kernel, prefactor = _angular_kernel(idx.k, idx.ell, idx.m, form, sphere)
-        kernels[:, j] = kernel.ravel()
-        prefactors[j] = prefactor
-    inner = flat @ kernels  # (n_r, n_indices)
-    powers: dict = {}
-    out = []
-    for j, idx in enumerate(indices):
-        p = idx.ell + 2 * idx.k
-        rad = powers.get(p)
-        if rad is None:
-            rad = quad.r_weights * quad.r**p
-            powers[p] = rad
-        out.append(complex(prefactors[j] * (rad @ inner[:, j])))
-    return out
+    With a = k + 1, b = ell + k + 1 and (-1)^m Y_b^{-m} = conj(Y_b^m),
+    M = -int eta r^{ell+2k} [Y_a^0 + d_theta Y_a^0 d_theta / (ab)] conj(Y_b^m),
+    since grad_S Y_a^0 has no azimuthal component.  Y_a^0 is zonal, so
+    the phi-sum is the azimuthal transform of the cube, the theta-sum one
+    normalised Legendre sweep per |m| for every degree b, and the r-sum a
+    power-weighted row sum.  Keys are (k, ell, m), in that order.
+    """
+    lmax = max(caps)
+    f_m = _azimuthal_transform(eta_cube, quad, lmax)
+    x = np.cos(quad.theta)
+    sin2 = (1.0 - x) * (1.0 + x)
+    zonal = specfun._norm_legendre_sweep(0, len(caps), x)  # rows a = 0..K+1
+    dzonal = specfun._norm_legendre_sin_dtheta(0, zonal, x) * quad.theta_weights / sin2
+    zonal = zonal * quad.theta_weights
+    bmax = max(cap + k + 1 for k, cap in enumerate(caps))
+    # r^(ell + 2k) times the radial weights, rows ell = 0..caps[k]
+    powers = [quad.r_weights * quad.r ** np.arange(2 * k, cap + 2 * k + 1)[:, None]
+              for k, cap in enumerate(caps)]
+    vals = [np.zeros((cap + 1, 2 * lmax + 1), dtype=complex) for cap in caps]
+    for m in range(-lmax, lmax + 1):
+        mu = abs(m)
+        sweep = specfun._norm_legendre_sweep(mu, bmax, x)  # rows b = mu..bmax
+        dsweep = specfun._norm_legendre_sin_dtheta(mu, sweep, x)
+        f_t = f_m[:, :, m + lmax].T  # (n_theta, n_r)
+        sign = -specfun._negative_order_sign(m)  # -conj(Y_b^m) = sign P~_b^mu e^{-i m phi}
+        for k, cap in enumerate(caps):
+            if cap < mu:
+                continue
+            a = k + 1
+            b = np.arange(mu + a, cap + a + 1)[:, None]
+            rows = slice(a, cap + a - mu + 1)
+            prof = sweep[rows] * zonal[a] + dsweep[rows] * dzonal[a] / (a * b)
+            vals[k][mu:, m + lmax] = sign * np.sum(powers[k][mu:] * (prof @ f_t), axis=1)
+    return {
+        (k, ell, m): complex(vals[k][ell, m + lmax])
+        for k, cap in enumerate(caps)
+        for ell in range(cap + 1)
+        for m in range(-ell, ell + 1)
+    }
 
 
 def _sample_on_ball(eta, quad: BallQuadrature) -> np.ndarray:
@@ -218,9 +208,11 @@ def _sample_on_ball(eta, quad: BallQuadrature) -> np.ndarray:
 
 
 def forward_measure_quadrature(
-    eta, k: int, ell: int, m: int, quad: BallQuadrature | None = None, form: str = "phi"
+    eta, k: int, ell: int, m: int, quad: BallQuadrature | None = None
 ) -> complex:
     """Single measurement by ball quadrature of an evaluable field.
+
+    The (k, ell, m) entry of ``oracle_measure(eta, k, ell, quad)``.
 
     Parameters
     ----------
@@ -230,43 +222,22 @@ def forward_measure_quadrature(
         Measurement index, |m| <= ell.
     quad : BallQuadrature, optional
         Defaults to the standard orders (48, 64, 128).
-    form : str
-        "phi" integrates the angular-kernel form (default); "gradient"
-        integrates -eta grad(u_{k+1}^0) . conj(grad(u_{l+k+1}^m)).  The
-        two integrands are equal pointwise after the surface-gradient
-        product reduction, so both give the same value.
     """
-    idx = ZernikeIndex(k, ell, m)
-    if quad is None:
-        quad = BallQuadrature()
-    if form not in ("phi", "gradient"):
-        raise ValueError(f"unknown oracle form {form!r}")
-    cube = _sample_on_ball(eta, quad)
-    return _oracle_values(cube, [idx], quad, form)[0]
+    ZernikeIndex(k, ell, m)  # validates the index
+    return oracle_measure(eta, k, ell, quad).get(k, ell, m)
 
 
-def oracle_measure(
-    eta, K: int, degree_caps, quad: BallQuadrature | None = None, form: str = "phi"
-) -> MeasurementSet:
+def oracle_measure(eta, K: int, degree_caps, quad: BallQuadrature | None = None) -> MeasurementSet:
     """Quadrature measurements for every index (k <= K, ell <= caps[k], m).
 
-    Samples the field once and reuses cached angular kernels, so a full
-    set costs little more than a handful of single measurements.
+    Samples the field once and integrates the angular-kernel form of the
+    measurement separably (see ``_oracle_values``).
     """
     caps = as_caps(K, degree_caps)
     if quad is None:
         quad = BallQuadrature()
-    if form not in ("phi", "gradient"):
-        raise ValueError(f"unknown oracle form {form!r}")
-    indices = [
-        ZernikeIndex(k, ell, m)
-        for k in range(K + 1)
-        for ell in range(caps[k] + 1)
-        for m in range(-ell, ell + 1)
-    ]
     cube = _sample_on_ball(eta, quad)
-    vals = _oracle_values(cube, indices, quad, form)
-    return MeasurementSet(dict(zip(indices, vals)), K, caps)
+    return MeasurementSet(_oracle_values(cube, caps, quad), K, caps)
 
 
 def add_noise(ms: MeasurementSet, relative_level: float, seed: int) -> MeasurementSet:
@@ -279,8 +250,8 @@ def add_noise(ms: MeasurementSet, relative_level: float, seed: int) -> Measureme
     keeps it exactly.  Entries with m < 0 and no stored partner draw
     their own noise.  Deterministic given the seed.
     """
-    if relative_level < 0:
-        raise ValueError("noise level must be nonnegative")
+    if not (math.isfinite(relative_level) and relative_level >= 0):
+        raise ValueError(f"noise level must be finite and nonnegative, got {relative_level}")
     if relative_level == 0:
         return MeasurementSet(dict(ms.values), ms.kmax, ms.degree_caps)
     sigma = relative_level * ms.rms()

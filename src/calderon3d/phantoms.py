@@ -42,6 +42,8 @@ class PhantomSpec:
             raise ValueError("center must be a 3-vector")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "sharpness", float(self.sharpness))
+        if not all(math.isfinite(v) for v in center + (self.sharpness,)):
+            raise ValueError(f"center {center} and sharpness {self.sharpness} must be finite")
         if self.name == "gaussian":
             if math.sqrt(sum(c * c for c in center)) > 1.0:
                 raise ValueError("gaussian center must lie inside the closed unit ball")

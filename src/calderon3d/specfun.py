@@ -167,6 +167,36 @@ def _norm_legendre_sweep(m: int, lmax: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _norm_legendre_sin_dtheta(m: int, sweep: np.ndarray, x) -> np.ndarray:
+    """sin(theta) d/dtheta of the rows of ``_norm_legendre_sweep(m, lmax, x)``.
+
+    Uses the same-order recurrence in x = cos(theta)
+
+        sin(theta) dP~_l^m/dtheta = l x P~_l^m - sqrt((2l+1)(l^2-m^2)/(2l-1)) P~_{l-1}^m,
+
+    whose second term vanishes at l = m, so no sweep of order m + 1 is
+    needed.  Callers divide by their own sin(theta).  For m = 0 the two
+    terms cancel towards the poles, where the quotient keeps about
+    eps / sin(theta)^2 relative accuracy; Gauss nodes in cos(theta) keep
+    sin(theta) of order 1/n_theta.
+    """
+    x = np.asarray(x, dtype=float)
+    ell = np.arange(m, m + len(sweep), dtype=float).reshape((-1,) + (1,) * x.ndim)
+    out = ell * x * sweep
+    lo = ell[1:]
+    out[1:] -= np.sqrt((2.0 * lo + 1.0) * (lo * lo - m * m) / (2.0 * lo - 1.0)) * sweep[:-1]
+    return out
+
+
+def _negative_order_sign(m: int) -> float:
+    """Sign s with Y_l^m = s P~_l^{|m|}(cos theta) e^{i m phi}: -1 for odd m < 0.
+
+    This is the Condon-Shortley phase carried to negative orders by
+    conj(Y_l^m) = (-1)^m Y_l^{-m}.
+    """
+    return -1.0 if m < 0 and m % 2 else 1.0
+
+
 def sph_harm(ell: int, m: int, theta, phi):
     """Complex spherical harmonic Y_l^m(theta, phi).
 
@@ -178,11 +208,8 @@ def sph_harm(ell: int, m: int, theta, phi):
     theta_a = np.asarray(theta, dtype=float)
     phi_a = np.asarray(phi, dtype=float)
     scalar = theta_a.ndim == 0 and phi_a.ndim == 0
-    mu = abs(m)
-    pt = _norm_legendre_sweep(mu, ell, np.cos(theta_a))[-1]
-    val = pt * np.exp(1j * m * phi_a)
-    if m < 0 and mu % 2 == 1:
-        val = -val
+    pt = _norm_legendre_sweep(abs(m), ell, np.cos(theta_a))[-1]
+    val = _negative_order_sign(m) * pt * np.exp(1j * m * phi_a)
     return complex(val) if scalar else val
 
 
@@ -192,12 +219,8 @@ def sph_harm_surface_grad(ell: int, m: int, theta, phi):
     Returns the pair (d/dtheta Y_l^m, (1/sin theta) d/dphi Y_l^m).  The
     dot product of two surface gradients is the plain componentwise
     product sum of such pairs (no conjugation).  The theta derivative
-    uses
-
-        d/dtheta Y_l^m = m cot(theta) Y_l^m
-                         + sqrt((l-m)(l+m+1)) e^{-i phi} Y_l^{m+1},
-
-    valid for any m with the term dropped when m = l.
+    comes from the same-order Legendre recurrence in
+    ``_norm_legendre_sin_dtheta``.
 
     Raises
     ------
@@ -212,13 +235,11 @@ def sph_harm_surface_grad(ell: int, m: int, theta, phi):
     st = np.sin(theta_a)
     if np.any(np.abs(st) < POLE_GUARD):
         raise ValueError(f"surface gradient evaluated too close to a pole: |sin theta| < {POLE_GUARD}")
-    y = sph_harm(ell, m, theta_a, phi_a)
-    dth = m * (np.cos(theta_a) / st) * y
-    if m < ell:
-        dth = dth + math.sqrt((ell - m) * (ell + m + 1.0)) * np.exp(-1j * phi_a) * sph_harm(
-            ell, m + 1, theta_a, phi_a
-        )
-    dphi_over_sin = (1j * m) * y / st
+    x = np.cos(theta_a)
+    sweep = _norm_legendre_sweep(abs(m), ell, x)
+    phase = _negative_order_sign(m) * np.exp(1j * m * phi_a)
+    dth = _norm_legendre_sin_dtheta(abs(m), sweep, x)[-1] / st * phase
+    dphi_over_sin = (1j * m) * sweep[-1] * phase / st
     if scalar:
         return complex(dth), complex(dphi_over_sin)
     return dth, np.asarray(dphi_over_sin)

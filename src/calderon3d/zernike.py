@@ -34,15 +34,14 @@ zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 
 import numpy as np
 
 from .quadrature import BallQuadrature
-from .specfun import _norm_legendre_sweep, sph_harm
+from .specfun import _negative_order_sign, _norm_legendre_sweep, sph_harm
 
 __all__ = [
     "ZernikeIndex",
@@ -79,14 +78,16 @@ def as_caps(kmax: int, caps) -> tuple[int, ...]:
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     if isinstance(caps, (int, np.integer)):
-        return (int(caps),) * (kmax + 1)
+        caps = (int(caps),) * (kmax + 1)
     caps = tuple(int(c) for c in caps)
     if len(caps) != kmax + 1:
         raise ValueError(f"need {kmax + 1} per-k degree caps, got {len(caps)}")
+    for k, cap in enumerate(caps):
+        if cap < 0:
+            raise ValueError(f"degree cap for k={k} must be nonnegative, got {cap}")
     return caps
 
 
-@lru_cache(maxsize=None)
 def _radial_coeff_fractions(ell: int, k: int) -> tuple[Fraction, ...]:
     """Exact monomial coefficients of R_l^k / sqrt(2l+4k+3), s = 0..k."""
     out = []
@@ -232,6 +233,17 @@ def _spherical_from_cartesian(x, y, z):
     return r, theta, phi
 
 
+def _azimuthal_transform(values: np.ndarray, quad: BallQuadrature, lmax: int) -> np.ndarray:
+    """F[i, j, m + lmax] = sum_p w_phi values[i, j, p] exp(-i m phi_p), |m| <= lmax.
+
+    ``values`` is sampled on the (n_r, n_theta, n_phi) grid of ``quad``.
+    """
+    ms = np.arange(-lmax, lmax + 1)
+    phase = np.exp(-1j * np.outer(quad.phi, ms)) * quad.phi_weight
+    flat = values.reshape(quad.n_r * quad.n_theta, quad.n_phi)
+    return (flat @ phase).reshape(quad.n_r, quad.n_theta, len(ms))
+
+
 def project(eta, kmax: int, degree_caps, quad: BallQuadrature | None = None) -> CoefficientField:
     """Quadrature projection of a function onto the basis.
 
@@ -261,33 +273,62 @@ def project(eta, kmax: int, degree_caps, quad: BallQuadrature | None = None) -> 
     e_vals = np.asarray(eta(x, y, z), dtype=complex)
     if e_vals.shape != x.shape:
         e_vals = np.broadcast_to(e_vals, x.shape).astype(complex)
-
-    n_r, n_theta = quad.n_r, quad.n_theta
-    # azimuthal transform: F[., m] = sum_j w_phi E[., j] exp(-i m phi_j)
-    ms = np.arange(-lmax, lmax + 1)
-    phase = np.exp(-1j * np.outer(quad.phi, ms)) * quad.phi_weight
-    f_m = (e_vals.reshape(n_r * n_theta, quad.n_phi) @ phase).reshape(n_r, n_theta, len(ms))
+    f_m = _azimuthal_transform(e_vals, quad, lmax)
+    # weighted radial profiles, evaluated once per (ell, k) rather than per order
+    radial = {
+        (ell, k): quad.r_weights * radial_zernike(ell, k, quad.r)
+        for k, cap in enumerate(caps)
+        for ell in range(cap + 1)
+    }
 
     ct = np.cos(quad.theta)
     wt = quad.theta_weights
     entries = {}
     for m in range(-lmax, lmax + 1):
         mu = abs(m)
-        if mu > lmax:
-            continue
         sweep = _norm_legendre_sweep(mu, lmax, ct)  # rows ell = mu..lmax
-        sign = -1.0 if (m < 0 and mu % 2 == 1) else 1.0
+        sign = _negative_order_sign(m)
         # theta contraction for all ell at once: (nl, nth) @ (nth, nr)
         rad_prof = (sweep * wt) @ f_m[:, :, m + lmax].T  # (nl, n_r)
         for ell in range(mu, lmax + 1):
-            ks = [k for k in range(kmax + 1) if caps[k] >= ell]
-            if not ks:
-                continue
-            prof = rad_prof[ell - mu]
-            for k in ks:
-                val = sign * np.sum(quad.r_weights * radial_zernike(ell, k, quad.r) * prof)
-                entries[ZernikeIndex(k, ell, m)] = complex(val)
+            for k in range(kmax + 1):
+                if caps[k] >= ell:
+                    val = sign * np.sum(radial[ell, k] * rad_prof[ell - mu])
+                    entries[ZernikeIndex(k, ell, m)] = complex(val)
     return CoefficientField(entries, kmax, caps, certified=False)
+
+
+def _orders(c: CoefficientField, mode, r: np.ndarray, x: np.ndarray):
+    """Per-order pieces of the expansion at radii ``r`` and polar cosines ``x``.
+
+    Yields ``(m, degrees)`` for every stored order, ascending.  ``degrees``
+    yields, one degree ell at a time, the radial profile
+    sum_k c_l^{k,m} R_l^k(r) and the angular row Y_l^m e^{-i m phi} at x
+    (the harmonic without its azimuthal factor),
+    so only one degree's profile is alive at once.  ``mode`` is "full" or
+    an integer K that keeps the entries with k <= K.
+    """
+    if mode != "full" and not isinstance(mode, (int, np.integer)):
+        raise ValueError(f"mode must be 'full' or an integer, got {mode!r}")
+    selected = {}
+    for idx, val in c.entries.items():
+        if mode == "full" or idx.k <= int(mode):
+            selected.setdefault(idx.m, {}).setdefault(idx.ell, []).append((idx.k, val))
+    radial = {}
+
+    def degrees(m, by_ell):
+        sweep = _norm_legendre_sweep(abs(m), max(by_ell), x)
+        sign = _negative_order_sign(m)
+        for ell, terms in by_ell.items():
+            prof = np.zeros(r.shape, dtype=complex)
+            for k, val in terms:
+                if (ell, k) not in radial:
+                    radial[ell, k] = radial_zernike(ell, k, r)
+                prof += val * radial[ell, k]
+            yield prof, sign * sweep[ell - abs(m)]
+
+    for m, by_ell in sorted(selected.items()):
+        yield m, degrees(m, by_ell)
 
 
 def synthesize(c: CoefficientField, r, theta, phi, mode="full"):
@@ -297,48 +338,20 @@ def synthesize(c: CoefficientField, r, theta, phi, mode="full"):
     integer K returns the real part of the sum restricted to k <= K
     (the partial-sum field omega_K).
     """
-    if mode != "full" and not isinstance(mode, (int, np.integer)):
-        raise ValueError(f"mode must be 'full' or an integer, got {mode!r}")
     r_a, th_a, ph_a = np.broadcast_arrays(
         np.asarray(r, dtype=float), np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
     )
-    scalar = r_a.ndim == 0
-    shape = r_a.shape
+    scalar, shape = r_a.ndim == 0, r_a.shape
     rf, tf, pf = r_a.ravel(), th_a.ravel(), ph_a.ravel()
     out = np.zeros(rf.shape, dtype=complex)
-
-    selected = {}
-    for idx, val in c.entries.items():
-        if mode != "full" and idx.k > int(mode):
-            continue
-        selected.setdefault(idx.m, {}).setdefault(idx.ell, []).append((idx.k, val))
-
-    ct = np.cos(tf)
-    radial_cache = {}
-    for m, by_ell in sorted(selected.items()):
-        mu = abs(m)
-        lmax = max(by_ell)
-        sweep = _norm_legendre_sweep(mu, lmax, ct)
-        sign = -1.0 if (m < 0 and mu % 2 == 1) else 1.0
-        phase = sign * np.exp(1j * m * pf)
-        for ell, terms in by_ell.items():
-            prof = np.zeros(rf.shape, dtype=complex)
-            for k, val in terms:
-                rv = radial_cache.get((ell, k))
-                if rv is None:
-                    rv = radial_zernike(ell, k, rf)
-                    radial_cache[(ell, k)] = rv
-                prof += val * rv
-            out += prof * sweep[ell - mu] * phase
+    for m, degrees in _orders(c, mode, rf, np.cos(tf)):
+        phase = np.exp(1j * m * pf)
+        for prof, angular in degrees:
+            out += prof * angular * phase
 
     if mode != "full":
-        res = out.real
-        if scalar:
-            return float(res[0])
-        return res.reshape(shape)
-    if scalar:
-        return complex(out[0])
-    return out.reshape(shape)
+        out = out.real
+    return out.item() if scalar else out.reshape(shape)
 
 
 def synthesize_xyz(c: CoefficientField, x, y, z, mode="full"):
@@ -355,30 +368,12 @@ def synthesize_ball_grid(c: CoefficientField, quad: BallQuadrature, mode="full")
     Returns an (n_r, n_theta, n_phi) array; the separable structure of
     the grid makes this far cheaper than the scattered-point path.
     """
-    if mode != "full" and not isinstance(mode, (int, np.integer)):
-        raise ValueError(f"mode must be 'full' or an integer, got {mode!r}")
-    selected = {}
-    for idx, val in c.entries.items():
-        if mode != "full" and idx.k > int(mode):
-            continue
-        selected.setdefault(idx.m, {}).setdefault(idx.ell, []).append((idx.k, val))
-    out = np.zeros((quad.n_r, quad.n_theta, quad.n_phi), dtype=complex)
-    if selected:
-        ct = np.cos(quad.theta)
-        ms = sorted(selected)
-        amp = np.zeros((quad.n_r, quad.n_theta, len(ms)), dtype=complex)
-        for col, m in enumerate(ms):
-            mu = abs(m)
-            lmax = max(selected[m])
-            sweep = _norm_legendre_sweep(mu, lmax, ct)
-            sign = -1.0 if (m < 0 and mu % 2 == 1) else 1.0
-            for ell, terms in selected[m].items():
-                prof = np.zeros(quad.n_r, dtype=complex)
-                for k, val in terms:
-                    prof += val * radial_zernike(ell, k, quad.r)
-                amp[:, :, col] += sign * np.outer(prof, sweep[ell - mu])
-        phases = np.exp(1j * np.outer(ms, quad.phi))  # (nm, n_phi)
-        out = np.tensordot(amp, phases, axes=(2, 0))
+    ms, amp = [], []
+    for m, degrees in _orders(c, mode, quad.r, np.cos(quad.theta)):
+        ms.append(m)
+        amp.append(sum(np.outer(prof, angular) for prof, angular in degrees))
+    amp = np.stack(amp, axis=-1) if amp else np.zeros((quad.n_r, quad.n_theta, 0))
+    out = np.tensordot(amp, np.exp(1j * np.outer(ms, quad.phi)), axes=(2, 0))
     if mode != "full":
         return out.real
     return out

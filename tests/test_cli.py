@@ -67,6 +67,22 @@ def test_project_rejects_bad_phantom_parameters(tmp_path):
                 "--caps", "4,2", "--out", str(out)]) == 2  # conflicting kmax
 
 
+def test_project_rejects_non_finite_phantom_parameters(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    for flags in (["--center", "nan,0,0"], ["--sharpness", "nan"], ["--sharpness", "inf"]):
+        assert run(["project", "--phantom", "gaussian", *flags, "--kmax", "0", "--caps", "0",
+                    "--out", str(out)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_project_rejects_negative_degree_caps(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert run(["project", "--kmax", "1", "--caps", "-1", "--out", str(out)]) == 2
+    assert "degree cap for k=0 must be nonnegative, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_outputs_are_byte_stable(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["project", "--phantom", "gaussian", "--kmax", "1", "--caps", "3", *COARSE]
@@ -158,6 +174,26 @@ def test_simulate_past_degree_cap_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "DEGREE_CAP" in err and "k=0" in err
     assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+def test_simulate_rejects_negative_degree_caps(tmp_path, small_field, capsys):
+    out = tmp_path / "x.json"
+    assert run(["simulate", "--mode", "oracle", "--phantom", "zero", "--kmax", "1",
+                "--caps", "-2", "--out", str(out), *COARSE]) == 2
+    assert "degree cap for k=0 must be nonnegative, got -2" in capsys.readouterr().err
+    assert run(["simulate", "--coefficients", str(small_field), "--caps", "4,-1",
+                "--out", str(out)]) == 2
+    assert "degree cap for k=1 must be nonnegative, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("level", ["nan", "inf", "-0.5"])
+def test_simulate_rejects_bad_noise_levels(tmp_path, small_field, capsys, level):
+    out = tmp_path / "x.json"
+    assert run(["simulate", "--coefficients", str(small_field), "--caps", "4,2",
+                "--noise", level, "--out", str(out)]) == 2
+    assert "noise level must be finite and nonnegative" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -267,6 +303,14 @@ def test_slice_rejects_non_finite_coefficients(tmp_path, capsys):
     assert run(["slice", "--coefficients", str(field), "--resolution", "5",
                 "--out", str(out)]) == 2
     assert "non-finite value in entry (k=0, ell=1, m=-1)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_slice_rejects_non_finite_plane_offset(tmp_path, small_field, capsys):
+    out = tmp_path / "s.csv"
+    assert run(["slice", "--coefficients", str(small_field), "--plane", "z=nan",
+                "--resolution", "5", "--out", str(out)]) == 2
+    assert "plane offset must be finite" in capsys.readouterr().err
     assert not out.exists()
 
 
