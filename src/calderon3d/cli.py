@@ -222,8 +222,7 @@ def cmd_slice(args) -> int:
     x, y, z = (a.copy() for a in planes[axis])
     inside = x * x + y * y + z * z <= 1.0
     values = np.full(n * n, np.nan)
-    if np.any(inside):
-        values[inside] = synthesize_xyz(field, x[inside], y[inside], z[inside], mode=mode).real
+    values[inside] = synthesize_xyz(field, x[inside], y[inside], z[inside], mode=mode).real
     gs = GridSlice(
         axis=axis,
         offset=offset,

@@ -135,6 +135,32 @@ def assoc_legendre(ell: int, m: int, x):
     return float(pmmp1) if scalar else pmmp1
 
 
+def _legendre_diagonal_square(m):
+    """Square of the factor d in P~_m^m = -d sin(theta) P~_{m-1}^{m-1}, m >= 1.
+
+    With ``_legendre_step_squares`` this is the one definition of the
+    normalized Legendre recurrence shared by the order-major
+    ``_norm_legendre_sweep`` and the degree-major ``_norm_legendre_degrees``.
+    Both are plain arithmetic on an int or an integer array; callers take
+    the root with math.sqrt or np.sqrt, which round alike, so the two
+    traversals agree bit for bit.
+    """
+    return (2 * m + 1) / (2.0 * m)
+
+
+def _legendre_step_squares(ell, m):
+    """Squares of a, b in P~_l^m = a x P~_{l-1}^m - b P~_{l-2}^m, l >= m + 1.
+
+    At l = m + 1 they are exactly 2m + 3 and 0: the first step from the
+    diagonal.
+    """
+    a2 = (4.0 * ell * ell - 1.0) / (ell * ell - m * m)
+    b2 = ((2.0 * ell + 1.0) * (ell + m - 1.0) * (ell - m - 1.0)) / (
+        (2.0 * ell - 3.0) * (ell * ell - m * m)
+    )
+    return a2, b2
+
+
 def _norm_legendre_sweep(m: int, lmax: int, x: np.ndarray) -> np.ndarray:
     """Rows ell = m..lmax of the fully normalized Legendre functions.
 
@@ -152,19 +178,46 @@ def _norm_legendre_sweep(m: int, lmax: int, x: np.ndarray) -> np.ndarray:
     if m > 0:
         somx2 = np.sqrt((1.0 - x) * (1.0 + x))
         for j in range(1, m + 1):
-            pmm = pmm * (-math.sqrt((2 * j + 1) / (2.0 * j))) * somx2
+            pmm = pmm * (-math.sqrt(_legendre_diagonal_square(j))) * somx2
     out[0] = pmm
     if lmax == m:
         return out
-    out[1] = math.sqrt(2 * m + 3.0) * x * pmm
+    out[1] = math.sqrt(_legendre_step_squares(m + 1, m)[0]) * x * pmm
     for ell in range(m + 2, lmax + 1):
-        a = math.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - m * m))
-        b = math.sqrt(
-            ((2.0 * ell + 1.0) * (ell + m - 1.0) * (ell - m - 1.0))
-            / ((2.0 * ell - 3.0) * (ell * ell - m * m))
-        )
-        out[ell - m] = a * x * out[ell - m - 1] - b * out[ell - m - 2]
+        a2, b2 = _legendre_step_squares(ell, m)
+        out[ell - m] = math.sqrt(a2) * x * out[ell - m - 1] - math.sqrt(b2) * out[ell - m - 2]
     return out
+
+
+def _norm_legendre_degrees(lmax: int, x: np.ndarray):
+    """Yield, for ell = 0..lmax, the rows P~_ell^mu(x), mu = 0..ell, as one array.
+
+    The degree-major traversal of ``_norm_legendre_sweep``: degree ell
+    comes from degrees ell-1 and ell-2 only, so at most three degrees are
+    alive at once and no table over all degrees is kept.  Each row is
+    bit-identical to the matching row of the order-major sweep.  Callers
+    must not write into a yielded array: the next two degrees read it.
+    """
+    x = np.asarray(x, dtype=float)
+    somx2 = np.sqrt((1.0 - x) * (1.0 + x))
+    col = (-1,) + (1,) * x.ndim
+    prev2 = None
+    prev = np.full((1,) + x.shape, math.sqrt(1.0 / (4.0 * math.pi)))
+    yield prev
+    for ell in range(1, lmax + 1):
+        cur = np.empty((ell + 1,) + x.shape)
+        a2, b2 = _legendre_step_squares(ell, np.arange(ell))
+        a, b = np.sqrt(a2).reshape(col), np.sqrt(b2).reshape(col)
+        if ell >= 2:
+            # a x P~_{l-1} - b P~_{l-2} for mu <= ell - 2, in place, same rounding as the sweep
+            low = cur[: ell - 1]
+            np.multiply(a[: ell - 1], x, out=low)
+            low *= prev[: ell - 1]
+            low -= b[: ell - 1] * prev2[: ell - 1]
+        cur[ell - 1] = a[ell - 1] * x * prev[ell - 1]
+        cur[ell] = prev[ell - 1] * (-math.sqrt(_legendre_diagonal_square(ell))) * somx2
+        yield cur
+        prev2, prev = prev, cur
 
 
 def _norm_legendre_sin_dtheta(m: int, sweep: np.ndarray, x) -> np.ndarray:

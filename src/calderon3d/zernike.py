@@ -29,6 +29,15 @@ the bounds are exact zeros when the field is marked ``certified``; a
 field produced by projecting an arbitrary function is a truncation, is
 not certified, and downstream consumers refuse to treat its tail as
 zero.
+
+Synthesis runs degree by degree.  For each ell, the signed coefficients
+of every order form one real matrix, and its product with the rows
+R_l^k(r), k = 0..K, gives all orders' radial profiles at once.  The
+profiles are multiplied by the normalized Legendre rows P~_l^{|m|}(cos
+theta), which the recurrence derives from the previous two degrees, and
+summed into one amplitude per order pair +-m; the azimuthal factor comes
+last.  Scattered points are taken in fixed-size blocks, so no table over
+all points or all degrees is kept.
 """
 
 from __future__ import annotations
@@ -41,7 +50,7 @@ from math import comb
 import numpy as np
 
 from .quadrature import BallQuadrature
-from .specfun import _negative_order_sign, _norm_legendre_sweep, sph_harm
+from .specfun import _negative_order_sign, _norm_legendre_degrees, _norm_legendre_sweep, sph_harm
 
 __all__ = [
     "ZernikeIndex",
@@ -101,6 +110,35 @@ def _radial_coeff_fractions(ell: int, k: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+def _radial_zernike_rows(ell: int, kmax: int, r) -> np.ndarray:
+    """Rows R_l^k(r), k = 0..kmax, from one Jacobi recurrence in k.
+
+    Row k is sqrt(2l+4k+3) r^l P_k^{(0, l+1/2)}(2r^2 - 1); every row is
+    bit-identical to ``radial_zernike(ell, k, r)``.
+    """
+    ra = np.asarray(r, dtype=float)
+    if np.any((ra < 0.0) | (ra > 1.0)):
+        raise ValueError("radius out of domain [0, 1]")
+    x = 2.0 * ra * ra - 1.0
+    beta = ell + 0.5
+    r_ell = ra**ell
+    out = np.empty((kmax + 1,) + ra.shape)
+    p_prev = np.ones_like(ra)
+    out[0] = math.sqrt(2 * ell + 3) * r_ell * p_prev
+    if kmax == 0:
+        return out
+    p_cur = ((beta + 2.0) * x - beta) / 2.0
+    out[1] = math.sqrt(2 * ell + 7) * r_ell * p_cur
+    for n in range(2, kmax + 1):
+        c1 = 2.0 * n * (n + beta) * (2.0 * n + beta - 2.0)
+        c2 = -(beta * beta) * (2.0 * n + beta - 1.0)
+        c3 = (2.0 * n + beta - 1.0) * (2.0 * n + beta) * (2.0 * n + beta - 2.0)
+        c4 = 2.0 * (n - 1.0) * (n + beta - 1.0) * (2.0 * n + beta)
+        p_prev, p_cur = p_cur, ((c3 * x + c2) * p_cur - c4 * p_prev) / c1
+        out[n] = math.sqrt(2 * ell + 4 * n + 3) * r_ell * p_cur
+    return out
+
+
 def radial_zernike(ell: int, k: int, r):
     """Radial polynomial R_l^k(r) for r in [0, 1], scalar or array.
 
@@ -113,24 +151,8 @@ def radial_zernike(ell: int, k: int, r):
     if ell < 0 or k < 0:
         raise ValueError(f"indices must be nonnegative, got ell={ell}, k={k}")
     ra = np.asarray(r, dtype=float)
-    scalar = ra.ndim == 0
-    if np.any((ra < 0.0) | (ra > 1.0)):
-        raise ValueError("radius out of domain [0, 1]")
-    x = 2.0 * ra * ra - 1.0
-    beta = ell + 0.5
-    p_prev = np.ones_like(ra)
-    if k == 0:
-        p_cur = p_prev
-    else:
-        p_cur = ((beta + 2.0) * x - beta) / 2.0
-        for n in range(2, k + 1):
-            c1 = 2.0 * n * (n + beta) * (2.0 * n + beta - 2.0)
-            c2 = -(beta * beta) * (2.0 * n + beta - 1.0)
-            c3 = (2.0 * n + beta - 1.0) * (2.0 * n + beta) * (2.0 * n + beta - 2.0)
-            c4 = 2.0 * (n - 1.0) * (n + beta - 1.0) * (2.0 * n + beta)
-            p_prev, p_cur = p_cur, ((c3 * x + c2) * p_cur - c4 * p_prev) / c1
-    acc = math.sqrt(2 * ell + 4 * k + 3) * ra**ell * p_cur
-    return float(acc) if scalar else acc
+    acc = _radial_zernike_rows(ell, k, ra)[-1]
+    return float(acc) if ra.ndim == 0 else acc
 
 
 def chi(ell: int, p: int, q: int) -> float:
@@ -274,12 +296,12 @@ def project(eta, kmax: int, degree_caps, quad: BallQuadrature | None = None) -> 
     if e_vals.shape != x.shape:
         e_vals = np.broadcast_to(e_vals, x.shape).astype(complex)
     f_m = _azimuthal_transform(e_vals, quad, lmax)
-    # weighted radial profiles, evaluated once per (ell, k) rather than per order
-    radial = {
-        (ell, k): quad.r_weights * radial_zernike(ell, k, quad.r)
-        for k, cap in enumerate(caps)
-        for ell in range(cap + 1)
-    }
+    # weighted radial profiles: one recurrence per degree, up to the last k that reaches it
+    radial = [
+        quad.r_weights
+        * _radial_zernike_rows(ell, max(k for k, cap in enumerate(caps) if cap >= ell), quad.r)
+        for ell in range(lmax + 1)
+    ]
 
     ct = np.cos(quad.theta)
     wt = quad.theta_weights
@@ -293,61 +315,102 @@ def project(eta, kmax: int, degree_caps, quad: BallQuadrature | None = None) -> 
         for ell in range(mu, lmax + 1):
             for k in range(kmax + 1):
                 if caps[k] >= ell:
-                    val = sign * np.sum(radial[ell, k] * rad_prof[ell - mu])
+                    val = sign * np.sum(radial[ell][k] * rad_prof[ell - mu])
                     entries[ZernikeIndex(k, ell, m)] = complex(val)
     return CoefficientField(entries, kmax, caps, certified=False)
 
 
-def _orders(c: CoefficientField, mode, r: np.ndarray, x: np.ndarray):
-    """Per-order pieces of the expansion at radii ``r`` and polar cosines ``x``.
+# Points per synthesis block.  The working set of ``synthesize`` is a few
+# (lmax + 1) x _BLOCK arrays, so it does not grow with the point count.
+_BLOCK = 2048
 
-    Yields ``(m, degrees)`` for every stored order, ascending.  ``degrees``
-    yields, one degree ell at a time, the radial profile
-    sum_k c_l^{k,m} R_l^k(r) and the angular row Y_l^m e^{-i m phi} at x
-    (the harmonic without its azimuthal factor),
-    so only one degree's profile is alive at once.  ``mode`` is "full" or
-    an integer K that keeps the entries with k <= K.
+
+def _degree_matrices(c: CoefficientField, mode) -> dict:
+    """The stored coefficients of each degree as one real matrix.
+
+    Returns {ell: M} with M of shape (4 (ell + 1), K + 1), columns
+    k = 0..K (K the largest stored k at that degree).  With a_m the
+    signed coefficient s_m c_l^{k,m} (s_m the negative-order sign), the
+    row blocks are Re S, Im S, Re D, Im D over mu = 0..ell, where
+    S = a_mu + a_{-mu} and D = a_mu - a_{-mu} for mu > 0, and S = a_0,
+    D = 0 for mu = 0.  Orders m and -m share the Legendre row P~_l^mu, so
+    the pair enters the sum as S cos(mu phi) + i D sin(mu phi).  ``mode`` is
+    "full" or a nonnegative integer K that keeps the entries with k <= K.
     """
-    if mode != "full" and not isinstance(mode, (int, np.integer)):
-        raise ValueError(f"mode must be 'full' or an integer, got {mode!r}")
-    selected = {}
-    for idx, val in c.entries.items():
-        if mode == "full" or idx.k <= int(mode):
-            selected.setdefault(idx.m, {}).setdefault(idx.ell, []).append((idx.k, val))
-    radial = {}
+    if mode != "full" and (
+        isinstance(mode, bool) or not isinstance(mode, (int, np.integer)) or mode < 0
+    ):
+        raise ValueError(f"mode must be 'full' or a nonnegative integer, got {mode!r}")
+    kept = [idx for idx in c.entries if mode == "full" or idx.k <= mode]
+    if not kept:
+        return {}
+    k, ell, m = np.array([(idx.k, idx.ell, idx.m) for idx in kept]).T
+    val = np.array([_negative_order_sign(idx.m) * c.entries[idx] for idx in kept])
+    mu = np.abs(m)
+    # [ell, S/D, Re/Im, mu, k]; add.at, because m and -m share a slot
+    packed = np.zeros((ell.max() + 1, 2, 2, ell.max() + 1, k.max() + 1))
+    for part, weight in ((0, 1.0), (1, np.sign(m))):
+        np.add.at(packed, (ell, part, 0, mu, k), weight * val.real)
+        np.add.at(packed, (ell, part, 1, mu, k), weight * val.imag)
+    top = np.full(ell.max() + 1, -1)
+    np.maximum.at(top, ell, k)
+    return {
+        d: packed[d, :, :, : d + 1, : top[d] + 1].reshape(4 * (d + 1), -1)
+        for d in np.flatnonzero(top >= 0).tolist()
+    }
 
-    def degrees(m, by_ell):
-        sweep = _norm_legendre_sweep(abs(m), max(by_ell), x)
-        sign = _negative_order_sign(m)
-        for ell, terms in by_ell.items():
-            prof = np.zeros(r.shape, dtype=complex)
-            for k, val in terms:
-                if (ell, k) not in radial:
-                    radial[ell, k] = radial_zernike(ell, k, r)
-                prof += val * radial[ell, k]
-            yield prof, sign * sweep[ell - abs(m)]
 
-    for m, by_ell in sorted(selected.items()):
-        yield m, degrees(m, by_ell)
+def _degrees(mats: dict, r: np.ndarray, x: np.ndarray):
+    """Degree-major pieces of the expansion at radii ``r`` and polar cosines ``x``.
+
+    Yields ``(ell, profiles, rows)`` for every degree in ``mats`` (from
+    ``_degree_matrices``), ascending.  ``profiles`` has shape
+    (4, ell + 1, len(r)) and holds the radial profiles sum_k M[., k] R_l^k(r)
+    of the four row blocks of M, from one GEMM; ``rows[mu]`` is
+    P~_l^mu(x), mu = 0..ell.  Only the current degree's profiles and the
+    Legendre recurrence's last two degrees are alive.
+    """
+    if not mats:
+        return
+    for ell, rows in enumerate(_norm_legendre_degrees(max(mats), x)):
+        mat = mats.get(ell)
+        if mat is not None:
+            profiles = mat @ _radial_zernike_rows(ell, mat.shape[1] - 1, r)
+            yield ell, profiles.reshape(4, ell + 1, -1), rows
 
 
 def synthesize(c: CoefficientField, r, theta, phi, mode="full"):
     """Evaluate the expansion at spherical points.
 
-    mode "full" returns the complex sum over all stored entries; an
-    integer K returns the real part of the sum restricted to k <= K
-    (the partial-sum field omega_K).
+    mode "full" returns the complex sum over all stored entries; a
+    nonnegative integer K returns the real part of the sum restricted to
+    k <= K (the partial-sum field omega_K).  Anything else raises
+    ValueError.
+
+    The points are taken in blocks of ``_BLOCK``.  Per block, every
+    degree multiplies its radial profiles by its Legendre rows and adds
+    them into one amplitude per order pair +-mu; cos(mu phi) and
+    sin(mu phi) are applied once at the end.  Memory stays bounded for
+    any number of points.
     """
+    mats = _degree_matrices(c, mode)
     r_a, th_a, ph_a = np.broadcast_arrays(
         np.asarray(r, dtype=float), np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
     )
     scalar, shape = r_a.ndim == 0, r_a.shape
     rf, tf, pf = r_a.ravel(), th_a.ravel(), ph_a.ravel()
-    out = np.zeros(rf.shape, dtype=complex)
-    for m, degrees in _orders(c, mode, rf, np.cos(tf)):
-        phase = np.exp(1j * m * pf)
-        for prof, angular in degrees:
-            out += prof * angular * phase
+    lmax = max(mats, default=0)
+    out = np.empty(rf.shape, dtype=complex)
+    for lo in range(0, rf.size, _BLOCK):
+        blk = slice(lo, lo + _BLOCK)
+        amp = np.zeros((4, lmax + 1, len(rf[blk])))
+        for ell, profiles, rows in _degrees(mats, rf[blk], np.cos(tf[blk])):
+            profiles *= rows
+            amp[:, : ell + 1] += profiles
+        mu_phi = np.multiply.outer(np.arange(lmax + 1), pf[blk])
+        cos, sin = np.cos(mu_phi), np.sin(mu_phi)
+        out.real[blk] = np.einsum("mn,mn->n", amp[0], cos) - np.einsum("mn,mn->n", amp[3], sin)
+        out.imag[blk] = np.einsum("mn,mn->n", amp[1], cos) + np.einsum("mn,mn->n", amp[2], sin)
 
     if mode != "full":
         out = out.real
@@ -365,15 +428,25 @@ def synthesize_xyz(c: CoefficientField, x, y, z, mode="full"):
 def synthesize_ball_grid(c: CoefficientField, quad: BallQuadrature, mode="full"):
     """Evaluate the expansion on a BallQuadrature tensor grid.
 
-    Returns an (n_r, n_theta, n_phi) array; the separable structure of
-    the grid makes this far cheaper than the scattered-point path.
+    Returns an (n_r, n_theta, n_phi) array.  The grid is separable: each
+    degree contributes the outer product of its radial profiles (over r)
+    and its Legendre rows (over theta) to one amplitude per order pair
+    +-mu.  The per-degree factors are stacked along ell, so one batched
+    matrix product sums those outer products, and a single tensordot with
+    cos(mu phi) and sin(mu phi) finishes the sum.  ``mode`` is as in
+    ``synthesize``.
     """
-    ms, amp = [], []
-    for m, degrees in _orders(c, mode, quad.r, np.cos(quad.theta)):
-        ms.append(m)
-        amp.append(sum(np.outer(prof, angular) for prof, angular in degrees))
-    amp = np.stack(amp, axis=-1) if amp else np.zeros((quad.n_r, quad.n_theta, 0))
-    out = np.tensordot(amp, np.exp(1j * np.outer(ms, quad.phi)), axes=(2, 0))
+    mats = _degree_matrices(c, mode)
+    lmax = max(mats, default=0)
+    profiles_by_ell = np.zeros((4, lmax + 1, quad.n_r, lmax + 1))
+    rows_by_ell = np.zeros((lmax + 1, lmax + 1, quad.n_theta))
+    for ell, profiles, rows in _degrees(mats, quad.r, np.cos(quad.theta)):
+        profiles_by_ell[:, : ell + 1, :, ell] = profiles
+        rows_by_ell[: ell + 1, ell] = rows
+    amp = profiles_by_ell @ rows_by_ell  # (4, lmax + 1, n_r, n_theta)
+    mu_phi = np.multiply.outer(np.arange(lmax + 1), quad.phi)
+    pairs = np.concatenate([amp[0] + 1j * amp[1], 1j * amp[2] - amp[3]])
+    out = np.tensordot(pairs, np.concatenate([np.cos(mu_phi), np.sin(mu_phi)]), axes=(0, 0))
     if mode != "full":
         return out.real
     return out

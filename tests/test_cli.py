@@ -83,9 +83,17 @@ def test_project_rejects_negative_degree_caps(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_outputs_are_byte_stable(tmp_path):
+@pytest.mark.parametrize("verb", ["project", "slice"])
+def test_outputs_are_byte_stable(tmp_path, verb):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["project", "--phantom", "gaussian", "--kmax", "1", "--caps", "3", *COARSE]
+    if verb == "slice":
+        # 61^2 samples put about 2,900 points inside, more than one synthesis block
+        field = tmp_path / "field.json"
+        assert run(["project", "--phantom", "gaussian", "--kmax", "2", "--caps", "12,10,8",
+                    "--out", str(field), *COARSE]) == 0
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        args = ["slice", "--coefficients", str(field), "--resolution", "61"]
     assert run(args + ["--out", str(a)]) == 0
     assert run(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
@@ -321,6 +329,16 @@ def test_slice_partial_sum_at_kmax_equals_full(tmp_path, small_field):
     assert run(["slice", "--coefficients", str(small_field), "--resolution", "9",
                 "--partial-sum", "1", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("plane", ["z=0", "z=1.5"])
+def test_slice_rejects_a_negative_partial_sum(tmp_path, small_field, capsys, plane):
+    # also when the plane misses the ball and no point is synthesised
+    out = tmp_path / "s.csv"
+    assert run(["slice", "--coefficients", str(small_field), "--plane", plane,
+                "--resolution", "9", "--partial-sum", "-1", "--out", str(out)]) == 2
+    assert "mode must be 'full' or a nonnegative integer, got -1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_pipeline_closure_reconstructed_slice_matches_projection(tmp_path):

@@ -15,6 +15,8 @@ from calderon3d.specfun import (
     DEGREE_CAP,
     SphIndex,
     TripleIndex,
+    _norm_legendre_degrees,
+    _norm_legendre_sweep,
     assoc_legendre,
     gaunt,
     gaunt_selection,
@@ -85,6 +87,20 @@ def test_assoc_legendre_matches_sympy(ell, mfrac, x):
 
 
 # ------------------------------------------------------ spherical harmonics
+
+
+def test_degree_major_legendre_rows_equal_the_order_sweep():
+    # both traversals run the same recurrence in the same order, so the
+    # rows must agree bit for bit, not just to rounding
+    lmax = 60
+    theta = np.random.default_rng(60).uniform(0, math.pi, 200)
+    x = np.concatenate([[-1.0, 0.0, 1.0], np.cos(theta)])
+    sweeps = [_norm_legendre_sweep(mu, lmax, x) for mu in range(lmax + 1)]
+    for ell, rows in enumerate(_norm_legendre_degrees(lmax, x)):
+        assert rows.shape == (ell + 1, x.size)
+        for mu in range(ell + 1):
+            assert np.array_equal(rows[mu], sweeps[mu][ell - mu]), (ell, mu)
+    assert ell == lmax
 
 
 def test_sph_harm_frozen_values():

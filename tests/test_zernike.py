@@ -1,12 +1,14 @@
 """Tests for the radial polynomials, ball basis, projection, and synthesis."""
 
 import math
+import tracemalloc
 
 import hypothesis as h
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 
+from calderon3d import zernike
 from calderon3d.quadrature import BallQuadrature
 from calderon3d.specfun import sph_harm
 from calderon3d.zernike import (
@@ -97,6 +99,16 @@ def test_radial_zernike_matches_exact_monomial_form():
             exact = float(acc * rq**ell) * scale
             got = radial_zernike(ell, k, j / 16)
             assert got == pytest.approx(exact, rel=1e-13, abs=1e-13)
+
+
+def test_radial_rows_equal_radial_zernike():
+    # one recurrence yields every k; each row must be the single-k value bit for bit
+    rr = np.concatenate([[0.0, 1.0], np.random.default_rng(17).uniform(0, 1, 50)])
+    for ell in (0, 1, 7, 30, 48):
+        rows = zernike._radial_zernike_rows(ell, 9, rr)
+        assert rows.shape == (10, rr.size)
+        for k in range(10):
+            assert np.array_equal(rows[k], radial_zernike(ell, k, rr)), (ell, k)
 
 
 def test_radial_zernike_domain_error():
@@ -294,7 +306,36 @@ def test_synthesize_partial_sum_modes():
     assert synthesize(g, r, th, ph, mode=1) == 0.0
 
 
-def test_synthesize_matches_psi_sum():
+def high_degree_case():
+    """A random complex, non-symmetric field at caps (30, 26, 22) and random
+    points whose count is not a multiple of the synthesis block."""
+    rng = np.random.default_rng(302622)
+    field = random_field(2, (30, 26, 22), rng)
+    n = zernike._BLOCK + 301
+    r = rng.uniform(0, 1, n)
+    th = rng.uniform(0, math.pi, n)
+    ph = rng.uniform(0, 2 * math.pi, n)
+    return field, r, th, ph
+
+
+def psi_sum(field, r, th, ph, mode="full"):
+    total = sum(
+        val * psi_eval(idx.k, idx.ell, idx.m, r, th, ph)
+        for idx, val in field.entries.items()
+        if mode == "full" or idx.k <= mode
+    )
+    return total if mode == "full" else total.real
+
+
+@pytest.mark.parametrize("case", ["degree_3", "caps_30_26_22"])
+def test_synthesize_matches_psi_sum(case):
+    if case == "caps_30_26_22":
+        field, r, th, ph = high_degree_case()
+        for mode in ("full", 1):
+            ref = psi_sum(field, r, th, ph, mode)
+            got = synthesize(field, r, th, ph, mode=mode)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), mode
+        return
     field = random_field(2, 3, RNG, density=0.6)
     for _ in range(5):
         r = float(RNG.uniform(0, 1))
@@ -307,7 +348,18 @@ def test_synthesize_matches_psi_sum():
         assert synthesize(field, r, th, ph) == pytest.approx(ref, rel=1e-11, abs=1e-13)
 
 
-def test_synthesize_ball_grid_matches_pointwise():
+@pytest.mark.parametrize("case", ["degree_3", "caps_30_26_22"])
+def test_synthesize_ball_grid_matches_pointwise(case):
+    if case == "caps_30_26_22":
+        field = high_degree_case()[0]
+        quad = BallQuadrature(n_r=7, n_theta=9, n_phi=20)
+        r = quad.r[:, None, None]
+        th, ph = (np.broadcast_to(a, (7, 9, 20)) for a in quad.sphere.grid())
+        for mode in ("full", 1):
+            direct = synthesize(field, r, th, ph, mode=mode)
+            cube = synthesize_ball_grid(field, quad, mode=mode)
+            assert np.max(np.abs(cube - direct)) <= 1e-12 * np.max(np.abs(direct)), mode
+        return
     field = random_field(2, 3, RNG, density=0.5)
     quad = BallQuadrature(n_r=6, n_theta=8, n_phi=16)
     cube = synthesize_ball_grid(field, quad)
@@ -329,6 +381,55 @@ def test_synthesize_ball_grid_matches_pointwise():
         mode=1,
     )
     assert np.max(np.abs(cube0 - direct0)) <= 1e-12
+
+
+def test_synthesize_empty_and_scalar_inputs():
+    field, r, th, ph = high_degree_case()
+    full = synthesize(field, r, th, ph)
+    part = synthesize(field, r, th, ph, mode=1)
+    empty = np.zeros(0)
+    out = synthesize(field, empty, empty, empty)
+    assert out.shape == (0,) and out.dtype == complex
+    out = synthesize(field, empty, empty, empty, mode=1)
+    assert out.shape == (0,) and out.dtype == float
+    for i in (0, zernike._BLOCK, len(r) - 1):
+        one = synthesize(field, r[i], th[i], ph[i])
+        assert isinstance(one, complex)
+        assert abs(one - full[i]) <= 1e-12 * np.max(np.abs(full))
+        one = synthesize(field, r[i], th[i], ph[i], mode=1)
+        assert isinstance(one, float)
+        assert abs(one - part[i]) <= 1e-12 * np.max(np.abs(part))
+    # the output keeps the broadcast input shape
+    grid = synthesize(field, r[:6].reshape(2, 3), th[:6].reshape(2, 3), 0.5)
+    assert grid.shape == (2, 3)
+
+
+@pytest.mark.parametrize("mode", [-1, True, False, 1.0, "0"])
+def test_synthesize_rejects_negative_boolean_and_non_integer_modes(mode):
+    f = random_field(1, 2, np.random.default_rng(5))
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        synthesize(f, 0.1, 0.2, 0.3, mode=mode)
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        synthesize_ball_grid(f, BallQuadrature(n_r=2, n_theta=2, n_phi=4), mode=mode)
+
+
+def test_synthesis_working_memory_is_bounded_in_the_point_count():
+    # doubling the points may grow the peak by the output and a few per-point
+    # arrays, not by tables over every point
+    field = random_field(2, (20, 16, 12), np.random.default_rng(201612))
+    rng = np.random.default_rng(7)
+
+    def peak(n):
+        x, y, z = rng.uniform(-0.57, 0.57, size=(3, n))
+        tracemalloc.start()
+        try:
+            synthesize_xyz(field, x, y, z)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    output_growth = 50_000 * np.dtype(complex).itemsize
+    assert peak(100_000) - peak(50_000) <= 8 * output_growth
 
 
 def test_synthesize_mode_validation():
