@@ -12,16 +12,13 @@ specfun     spherical harmonics, Wigner 3j symbols, Gaunt coefficients
 quadrature  Gauss x trapezoid rules on the sphere and ball
 zernike     radial polynomials R_l^k, basis fields, projection, synthesis
 forward     simulated measurements (exact series and quadrature oracle)
-recon       coupling constants tau/D/Q and the forward-substitution solver
+recon       coupling constants tau/Q and the forward-substitution solver
 phantoms    built-in test perturbations
 serialize   JSON / CSV readers and writers with round-trip-exact floats
 cli         command-line pipeline driver
 """
 
 from .specfun import (
-    SphIndex,
-    TripleIndex,
-    assoc_legendre,
     sph_harm,
     sph_harm_surface_grad,
     wigner3j,
@@ -58,7 +55,6 @@ from .recon import (
     MissingMeasurementError,
     DivisorUnderflowWarning,
     tau,
-    big_d,
     big_q,
     validate_schedule,
     reconstruct,
@@ -77,9 +73,6 @@ from .serialize import (
 from .selftest import run_selftest
 
 __all__ = [
-    "SphIndex",
-    "TripleIndex",
-    "assoc_legendre",
     "sph_harm",
     "sph_harm_surface_grad",
     "wigner3j",
@@ -111,7 +104,6 @@ __all__ = [
     "MissingMeasurementError",
     "DivisorUnderflowWarning",
     "tau",
-    "big_d",
     "big_q",
     "validate_schedule",
     "reconstruct",

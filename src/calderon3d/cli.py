@@ -189,7 +189,7 @@ def cmd_simulate(args) -> int:
         ms = oracle_measure(eta, kmax, caps, _quad(args))
     ms = add_noise(ms, args.noise, args.seed)
     dump_measurement_set(ms, args.out)
-    print(f"wrote {args.out} ({len(ms.values)} measurements, K={ms.kmax})")
+    print(f"wrote {args.out} ({len(ms.entries)} measurements, K={ms.kmax})")
     return EXIT_OK
 
 

@@ -23,12 +23,13 @@ with u_a^b = r^a Y_a^b / a.  Two independent routes are provided:
   one normalised Legendre sweep per order and a radial power sum.
 
 Agreement of the two routes is the module's central cross-check.
+Measurements are indexed and capped like coefficients, so they are held
+in the same container: ``MeasurementSet`` is ``zernike.CoefficientField``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,55 +63,7 @@ class IncompleteSupportError(ValueError):
         )
 
 
-@dataclass(frozen=True, eq=False)
-class MeasurementSet:
-    """Measurements M(k, ell, m), indexed like coefficients.
-
-    Parameters
-    ----------
-    values : dict
-        Mapping from ZernikeIndex (or plain (k, ell, m) tuples) to complex
-        measurement values.
-    kmax : int
-        Largest first index present.
-    degree_caps : int or sequence
-        Per-k bound on ell; a scalar means a uniform bound.
-    """
-
-    values: dict
-    kmax: int
-    degree_caps: tuple
-
-    def __post_init__(self) -> None:
-        caps = as_caps(self.kmax, self.degree_caps)
-        normalized = {}
-        for key, val in self.values.items():
-            idx = key if isinstance(key, ZernikeIndex) else ZernikeIndex(*key)
-            if idx.k > self.kmax or idx.ell > caps[idx.k]:
-                raise ValueError(f"entry {idx} lies outside the declared bounds")
-            normalized[idx] = complex(val)
-        object.__setattr__(self, "values", normalized)
-        object.__setattr__(self, "degree_caps", caps)
-
-    def get(self, k: int, ell: int, m: int, default=0.0 + 0.0j):
-        return self.values.get(ZernikeIndex(k, ell, m), default)
-
-    def items_sorted(self):
-        return sorted(self.values.items(), key=lambda kv: (kv[0].k, kv[0].ell, kv[0].m))
-
-    def rms(self) -> float:
-        """Root-mean-square magnitude of the stored values."""
-        if not self.values:
-            return 0.0
-        return math.sqrt(sum(abs(v) ** 2 for v in self.values.values()) / len(self.values))
-
-    def conjugate_symmetry_error(self) -> float:
-        """Max deviation from M(k, ell, -m) = (-1)^m conj(M(k, ell, m))."""
-        err = 0.0
-        for idx, val in self.values.items():
-            mirror = self.get(idx.k, idx.ell, -idx.m)
-            err = max(err, abs(mirror - (-1) ** idx.m * np.conj(val)))
-        return err
+MeasurementSet = CoefficientField
 
 
 def forward_measure(c: CoefficientField, K: int, degree_caps) -> MeasurementSet:
@@ -253,11 +206,11 @@ def add_noise(ms: MeasurementSet, relative_level: float, seed: int) -> Measureme
     if not (math.isfinite(relative_level) and relative_level >= 0):
         raise ValueError(f"noise level must be finite and nonnegative, got {relative_level}")
     if relative_level == 0:
-        return MeasurementSet(dict(ms.values), ms.kmax, ms.degree_caps)
+        return MeasurementSet(dict(ms.entries), ms.kmax, ms.degree_caps)
     sigma = relative_level * ms.rms()
     rng = np.random.default_rng(seed)
-    keys = sorted(ms.values, key=lambda i: (i.k, i.ell, i.m))
-    noisy = dict(ms.values)
+    keys = sorted(ms.entries, key=lambda i: (i.k, i.ell, i.m))
+    noisy = dict(ms.entries)
     for idx in keys:
         if idx.m < 0:
             continue
@@ -272,7 +225,7 @@ def add_noise(ms: MeasurementSet, relative_level: float, seed: int) -> Measureme
             if mirror in noisy:
                 noisy[mirror] = noisy[mirror] + (-1) ** idx.m * np.conj(noise)
     for idx in keys:
-        if idx.m >= 0 or ZernikeIndex(idx.k, idx.ell, -idx.m) in ms.values:
+        if idx.m >= 0 or ZernikeIndex(idx.k, idx.ell, -idx.m) in ms.entries:
             continue
         g1, g2 = rng.standard_normal(2)
         noisy[idx] = noisy[idx] + sigma * complex(g1, g2) / math.sqrt(2.0)

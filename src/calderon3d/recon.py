@@ -13,10 +13,11 @@ constant
 
     tau_{l,l'}^k    = (l+2k+2-l')(l+2k+3+l') / (2(k+1)(l+k+1)).
 
-Both routes to Q are implemented and must agree; the closed form is the
-default.  Because s = 0 and q = k leaves the single new unknown c_l^{k,m}
-with a provably nonzero divisor Q_{l,0}^{k,m,k}, the whole system is
-triangular in k and solves by forward substitution:
+``big_q`` evaluates the collapsed closed form; the test suite checks it
+against the factored product chi * D.  Because s = 0 and q = k leaves
+the single new unknown c_l^{k,m} with a provably nonzero divisor
+Q_{l,0}^{k,m,k}, the whole system is triangular in k and solves by
+forward substitution:
 
     c_l^{k,m} = (Q_{l,0}^{k,m,k})^{-1} (M(k,l,m)
                 - sum_{q=0}^{k-1} sum_{s=0}^{k-q} Q_{l,s}^{k,m,q} c_{l+2s}^{q,m}).
@@ -46,15 +47,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import specfun
 from .zernike import CoefficientField, ZernikeIndex
-
-if TYPE_CHECKING:  # import only for annotations, forward imports this module
-    from .forward import MeasurementSet
 
 __all__ = [
     "TruncationSchedule",
@@ -65,7 +62,6 @@ __all__ = [
     "MissingMeasurementError",
     "DivisorUnderflowWarning",
     "tau",
-    "big_d",
     "big_q",
     "CouplingStage",
     "CouplingOperator",
@@ -155,56 +151,25 @@ class ReconReport:
     regularised: bool = False
 
 
-def tau(ell: int, ell_prime: int, k: int, form: str = "closed") -> float:
+def tau(ell: int, ell_prime: int, k: int) -> float:
     """Surface-gradient reduction factor tau_{l,l'}^k.
 
-    form "closed" evaluates the factored product; form "expanded" the
-    equivalent 1 + (quadratic terms) expression.  Vanishes exactly at
-    ell_prime = ell + 2k + 2.
+    Vanishes exactly at ell_prime = ell + 2k + 2.
     """
     if ell < 0 or ell_prime < 0 or k < 0:
         raise ValueError("indices must be nonnegative")
     den = 2 * (k + 1) * (ell + k + 1)
-    if form == "closed":
-        return (ell + 2 * k + 2 - ell_prime) * (ell + 2 * k + 3 + ell_prime) / den
-    if form == "expanded":
-        num = (k + 1) * (k + 2) + (ell + k + 1) * (ell + k + 2) - ell_prime * (ell_prime + 1)
-        return 1.0 + num / den
-    raise ValueError(f"unknown tau form {form!r}")
+    return (ell + 2 * k + 2 - ell_prime) * (ell + 2 * k + 3 + ell_prime) / den
 
 
-def big_d(ell: int, s: int, k: int, m: int) -> float:
-    """Angular coupling D_{l,s}^{k,m} = (-1)^{m+1} tau G_{k+1,l+k+1,l+2s}^{0,-m,m}."""
-    if not 0 <= s <= k:
-        raise ValueError(f"need 0 <= s <= k, got s={s}, k={k}")
-    if abs(m) > ell:
-        raise ValueError(f"order out of range: |m|={abs(m)} > ell={ell}")
-    sign = 1.0 if m % 2 else -1.0
-    g = specfun.gaunt(k + 1, ell + k + 1, ell + 2 * s, 0, -m, m)
-    if g == 0.0:
-        return 0.0
-    return sign * tau(ell, ell + 2 * s, k) * g
-
-
-def big_q(ell: int, s: int, k: int, m: int, q: int, form: str = "closed") -> float:
-    """Series coupling Q_{l,s}^{k,m,q}.
-
-    form "closed" uses the fully collapsed expression; form "factored"
-    multiplies chi_{l+2s}^{k-s,q} by D_{l,s}^{k,m}.  The two agree to
-    rounding and are cross-checked in the test suite.
-    """
+def big_q(ell: int, s: int, k: int, m: int, q: int) -> float:
+    """Series coupling Q_{l,s}^{k,m,q}, from the fully collapsed expression."""
     if not 0 <= s <= k:
         raise ValueError(f"need 0 <= s <= k, got s={s}, k={k}")
     if not 0 <= q <= k - s:
         raise ValueError(f"need 0 <= q <= k - s, got q={q}, k={k}, s={s}")
     if abs(m) > ell:
         raise ValueError(f"order out of range: |m|={abs(m)} > ell={ell}")
-    if form == "factored":
-        from .zernike import chi
-
-        return chi(ell + 2 * s, k - s, q) * big_d(ell, s, k, m)
-    if form != "closed":
-        raise ValueError(f"unknown big_q form {form!r}")
     g = specfun.gaunt(k + 1, ell + k + 1, ell + 2 * s, 0, -m, m)
     if g == 0.0:
         return 0.0
@@ -378,7 +343,7 @@ def validate_schedule(schedule: TruncationSchedule) -> list:
 
 
 def reconstruct(
-    ms: "MeasurementSet", schedule: TruncationSchedule, zero_fill: bool = False
+    ms: CoefficientField, schedule: TruncationSchedule, zero_fill: bool = False
 ) -> ReconReport:
     """Recover coefficients from measurements by forward substitution.
 
@@ -391,8 +356,9 @@ def reconstruct(
 
     Parameters
     ----------
-    ms : MeasurementSet
-        Must contain every index (k <= K, ell <= caps[k], |m| <= ell).
+    ms : CoefficientField
+        The measurements (a ``forward.MeasurementSet``).  Must contain
+        every index (k <= K, ell <= caps[k], |m| <= ell).
     schedule : TruncationSchedule
     zero_fill : bool
         Opt-in regularisation: substitute 0 for dependencies an
@@ -409,7 +375,7 @@ def reconstruct(
     if violations and not zero_fill:
         raise InfeasibleScheduleError(violations)
     op = coupling_operator(schedule.caps)
-    measured = [ms.values.get(key) for key in op.keys]
+    measured = [ms.entries.get(key) for key in op.keys]
     coeffs = np.zeros(op.col_base[-1], dtype=complex)  # stays 0 where never reconstructed
     recovered = np.empty(len(op.keys), dtype=complex)
     stages = []

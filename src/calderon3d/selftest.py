@@ -159,7 +159,7 @@ def _check_gradient_identity(n_triples, lmax, seed):
 
 
 def _oracle_worst(series, oracle):
-    return max(abs(series.values[i] - oracle.values[i]) for i in series.values)
+    return max(abs(series.entries[i] - oracle.entries[i]) for i in series.entries)
 
 
 def _check_oracle_quick():

@@ -11,11 +11,17 @@ that are truncations of something larger (e.g. quadrature projections),
 where indices beyond the stored support must not be assumed zero.
 
 Measurement documents:  {"K": int, "entries": [... same shape ...]}.
+Both kinds hold the same container, so one writer and one reader serve
+them.  The reader requires the header ("kmax" or "K") to be a
+nonnegative JSON integer, "certified" to be a JSON boolean, every index
+to be a JSON integer and every value a finite JSON number; anything else
+is a ValueError that names the file.
 
 Reconstruction reports: a coefficient document plus a "diagnostics"
 object {"min_divisor", "schedule", "stages": [{"k",
 "max_inner_sum_magnitude"}]} and, only when zero-fill regularisation
-actually substituted values, "regularised": true.
+actually substituted values, "regularised": true.  A missing or
+malformed diagnostics field is a ValueError that names the file.
 
 Slice files: CSV with header x,y,z,value, row-major over the grid; the
 value column is empty at sample points outside the closed unit ball.
@@ -52,133 +58,48 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
-def _entry_lines(items, indent: str) -> list:
-    lines = []
-    for i, (idx, val) in enumerate(items):
-        comma = "," if i + 1 < len(items) else ""
-        lines.append(
-            f'{indent}{{"k": {idx.k}, "ell": {idx.ell}, "m": {idx.m}, '
-            f'"re": {_fmt(val.real)}, "im": {_fmt(val.imag)}}}{comma}'
-        )
-    return lines
+def _int(v) -> int:
+    # a JSON integer: not 2.5, and not true/false (bool subclasses int)
+    if type(v) is not int:
+        raise TypeError(f"expected an integer, got {v!r}")
+    return v
 
 
-def _parse_entries(doc, path):
-    raw = doc.get("entries")
-    if not isinstance(raw, list):
-        raise ValueError(f"{path}: missing or malformed 'entries' list")
-    entries = {}
-    for row in raw:
-        try:
-            idx = ZernikeIndex(int(row["k"]), int(row["ell"]), int(row["m"]))
-            re, im = float(row["re"]), float(row["im"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: malformed entry {row!r}") from exc
-        if not (math.isfinite(re) and math.isfinite(im)):
-            raise ValueError(
-                f"{path}: non-finite value in entry (k={idx.k}, ell={idx.ell}, m={idx.m})"
-            )
-        entries[idx] = complex(re, im)
-    return entries
+def _float(v) -> float:
+    if type(v) not in (int, float):
+        raise TypeError(f"expected a number, got {v!r}")
+    return float(v)
 
 
-def _inferred_caps(entries: dict, kmax: int) -> tuple:
-    caps = [0] * (kmax + 1)
-    for idx in entries:
-        if idx.k > kmax:
-            raise ValueError(f"entry {idx} exceeds the declared radial bound {kmax}")
-        caps[idx.k] = max(caps[idx.k], idx.ell)
-    return tuple(caps)
+def _write_document(path, key: str, c: CoefficientField, tail=()) -> None:
+    """Write {key: kmax, ["certified": false,] "entries": [...], *tail}.
 
-
-# ------------------------------------------------------------- coefficients
-
-
-def dump_coefficient_field(c: CoefficientField, path) -> None:
-    lines = ["{", f'  "kmax": {c.kmax},']
+    The entries are sorted by (k, ell, m); ``tail`` holds further
+    top-level members as ready-made lines.
+    """
+    lines = ["{", f'  "{key}": {c.kmax},']
     if not c.certified:
         lines.append('  "certified": false,')
     lines.append('  "entries": [')
-    lines.extend(_entry_lines(c.items_sorted(), "    "))
-    lines.extend(["  ]", "}"])
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_coefficient_field(path) -> CoefficientField:
-    doc = _read_json(path)
-    if "kmax" not in doc:
-        raise ValueError(f"{path}: not a coefficient document (no 'kmax')")
-    kmax = int(doc["kmax"])
-    entries = _parse_entries(doc, path)
-    certified = bool(doc.get("certified", True))
-    return CoefficientField(entries, kmax, _inferred_caps(entries, kmax), certified)
-
-
-# ------------------------------------------------------------- measurements
-
-
-def dump_measurement_set(ms: MeasurementSet, path) -> None:
-    lines = ["{", f'  "K": {ms.kmax},', '  "entries": [']
-    lines.extend(_entry_lines(ms.items_sorted(), "    "))
-    lines.extend(["  ]", "}"])
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_measurement_set(path) -> MeasurementSet:
-    doc = _read_json(path)
-    if "K" not in doc:
-        raise ValueError(f"{path}: not a measurement document (no 'K')")
-    kmax = int(doc["K"])
-    values = _parse_entries(doc, path)
-    return MeasurementSet(values, kmax, _inferred_caps(values, kmax))
-
-
-# ------------------------------------------------------------- reports
-
-
-def dump_recon_report(rep: ReconReport, path) -> None:
-    lines = ["{", f'  "kmax": {rep.field.kmax},', '  "entries": [']
-    lines.extend(_entry_lines(rep.field.items_sorted(), "    "))
-    lines.append("  ],")
-    lines.append('  "diagnostics": {')
-    lines.append(f'    "min_divisor": {_fmt(rep.min_divisor)},')
-    lines.append(f'    "schedule": [{", ".join(str(c) for c in rep.schedule.caps)}],')
-    if rep.regularised:
-        lines.append('    "regularised": true,')
-    lines.append('    "stages": [')
-    for i, st in enumerate(rep.stages):
-        comma = "," if i + 1 < len(rep.stages) else ""
+    items = c.items_sorted()
+    for i, (idx, val) in enumerate(items):
+        comma = "," if i + 1 < len(items) else ""
         lines.append(
-            f'      {{"k": {st.k}, "max_inner_sum_magnitude": '
-            f"{_fmt(st.max_inner_sum_magnitude)}}}{comma}"
+            f'    {{"k": {idx.k}, "ell": {idx.ell}, "m": {idx.m}, '
+            f'"re": {_fmt(val.real)}, "im": {_fmt(val.imag)}}}{comma}'
         )
-    lines.extend(["    ]", "  }", "}"])
+    lines.append("  ]," if tail else "  ]")
+    lines.extend(tail)
+    lines.append("}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_recon_report(path) -> ReconReport:
-    doc = _read_json(path)
-    diag = doc.get("diagnostics")
-    if not isinstance(diag, dict):
-        raise ValueError(f"{path}: not a reconstruction report (no 'diagnostics')")
-    kmax = int(doc["kmax"])
-    entries = _parse_entries(doc, path)
-    schedule = TruncationSchedule(tuple(int(c) for c in diag["schedule"]))
-    field = CoefficientField(entries, kmax, _inferred_caps(entries, kmax))
-    stages = tuple(
-        StageDiagnostic(k=int(s["k"]), max_inner_sum_magnitude=float(s["max_inner_sum_magnitude"]))
-        for s in diag["stages"]
-    )
-    return ReconReport(
-        field=field,
-        schedule=schedule,
-        min_divisor=float(diag["min_divisor"]),
-        stages=stages,
-        regularised=bool(diag.get("regularised", False)),
-    )
+def _read_document(path, key: str, kind: str):
+    """The JSON object in ``path`` and the container it holds.
 
-
-def _read_json(path):
+    ``key`` names the header holding the radial bound; the degree caps
+    are the largest degree stored per k.
+    """
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -189,7 +110,104 @@ def _read_json(path):
         raise ValueError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object")
-    return doc
+    if key not in doc:
+        raise ValueError(f"{path}: not a {kind} document (no {key!r})")
+    kmax = doc[key]
+    if type(kmax) is not int or kmax < 0:
+        raise ValueError(f"{path}: {key!r} must be a nonnegative integer, got {kmax!r}")
+    certified = doc.get("certified", True)
+    if type(certified) is not bool:
+        raise ValueError(f"{path}: 'certified' must be true or false, got {certified!r}")
+    raw = doc.get("entries")
+    if not isinstance(raw, list):
+        raise ValueError(f"{path}: missing or malformed 'entries' list")
+    entries = {}
+    caps = [0] * (kmax + 1)
+    for row in raw:
+        try:
+            idx = ZernikeIndex(_int(row["k"]), _int(row["ell"]), _int(row["m"]))
+            re, im = _float(row["re"]), _float(row["im"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: malformed entry {row!r}") from exc
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise ValueError(
+                f"{path}: non-finite value in entry (k={idx.k}, ell={idx.ell}, m={idx.m})"
+            )
+        if idx.k > kmax:
+            raise ValueError(f"{path}: entry {idx} exceeds the declared radial bound {kmax}")
+        caps[idx.k] = max(caps[idx.k], idx.ell)
+        entries[idx] = complex(re, im)
+    return doc, CoefficientField(entries, kmax, tuple(caps), certified)
+
+
+# ------------------------------------------------------------- coefficients
+
+
+def dump_coefficient_field(c: CoefficientField, path) -> None:
+    _write_document(path, "kmax", c)
+
+
+def load_coefficient_field(path) -> CoefficientField:
+    return _read_document(path, "kmax", "coefficient")[1]
+
+
+# ------------------------------------------------------------- measurements
+
+
+def dump_measurement_set(ms: MeasurementSet, path) -> None:
+    _write_document(path, "K", ms)
+
+
+def load_measurement_set(path) -> MeasurementSet:
+    return _read_document(path, "K", "measurement")[1]
+
+
+# ------------------------------------------------------------- reports
+
+
+def dump_recon_report(rep: ReconReport, path) -> None:
+    tail = [
+        '  "diagnostics": {',
+        f'    "min_divisor": {_fmt(rep.min_divisor)},',
+        f'    "schedule": [{", ".join(str(c) for c in rep.schedule.caps)}],',
+    ]
+    if rep.regularised:
+        tail.append('    "regularised": true,')
+    tail.append('    "stages": [')
+    for i, st in enumerate(rep.stages):
+        comma = "," if i + 1 < len(rep.stages) else ""
+        tail.append(
+            f'      {{"k": {st.k}, "max_inner_sum_magnitude": '
+            f"{_fmt(st.max_inner_sum_magnitude)}}}{comma}"
+        )
+    tail.extend(["    ]", "  }"])
+    _write_document(path, "kmax", rep.field, tail)
+
+
+def load_recon_report(path) -> ReconReport:
+    doc, field = _read_document(path, "kmax", "coefficient")
+    diag = doc.get("diagnostics")
+    if not isinstance(diag, dict):
+        raise ValueError(f"{path}: not a reconstruction report (no 'diagnostics')")
+    try:
+        regularised = diag.get("regularised", False)
+        if type(regularised) is not bool:
+            raise TypeError(f"'regularised' must be true or false, got {regularised!r}")
+        return ReconReport(
+            field=field,
+            schedule=TruncationSchedule(tuple(_int(c) for c in diag["schedule"])),
+            min_divisor=_float(diag["min_divisor"]),
+            stages=tuple(
+                StageDiagnostic(
+                    k=_int(s["k"]),
+                    max_inner_sum_magnitude=_float(s["max_inner_sum_magnitude"]),
+                )
+                for s in diag["stages"]
+            ),
+            regularised=regularised,
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: missing or malformed diagnostics field ({exc})") from exc
 
 
 # ------------------------------------------------------------- slices

@@ -27,7 +27,6 @@ divides by Gaunt-bearing constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, isqrt
@@ -35,9 +34,6 @@ from math import factorial, isqrt
 import numpy as np
 
 __all__ = [
-    "SphIndex",
-    "TripleIndex",
-    "assoc_legendre",
     "sph_harm",
     "sph_harm_surface_grad",
     "wigner3j",
@@ -53,86 +49,6 @@ DEGREE_CAP = 128
 # sin(theta) below this raises in sph_harm_surface_grad.  Gauss-Legendre
 # nodes in cos(theta) never get this close to the poles.
 POLE_GUARD = 1e-12
-
-
-@dataclass(frozen=True, order=True)
-class SphIndex:
-    """Degree/order pair (ell, m) with |m| <= ell."""
-
-    ell: int
-    m: int
-
-    def __post_init__(self) -> None:
-        if self.ell < 0:
-            raise ValueError(f"degree must be nonnegative, got ell={self.ell}")
-        if abs(self.m) > self.ell:
-            raise ValueError(f"order out of range: |m|={abs(self.m)} > ell={self.ell}")
-
-
-@dataclass(frozen=True, order=True)
-class TripleIndex:
-    """Three degree/order pairs addressing a 3j symbol or Gaunt coefficient."""
-
-    ell1: int
-    ell2: int
-    ell3: int
-    m1: int
-    m2: int
-    m3: int
-
-    def __post_init__(self) -> None:
-        for ell, m in self.pairs():
-            if ell < 0:
-                raise ValueError(f"degree must be nonnegative, got {ell}")
-            if abs(m) > ell:
-                raise ValueError(f"order out of range: |m|={abs(m)} > ell={ell}")
-
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        return ((self.ell1, self.m1), (self.ell2, self.m2), (self.ell3, self.m3))
-
-
-def assoc_legendre(ell: int, m: int, x):
-    """Associated Legendre function P_l^m(x) with the Condon-Shortley phase.
-
-    Parameters
-    ----------
-    ell, m : int
-        Degree and order, 0 <= m <= ell.
-    x : float or ndarray
-        Argument(s) in [-1, 1].
-
-    Returns
-    -------
-    float or ndarray
-        P_l^m evaluated by upward recurrence in the degree, starting from
-        the closed form P_m^m(x) = (-1)^m (2m-1)!! (1-x^2)^{m/2}.
-    """
-    if ell < 0:
-        raise ValueError(f"degree must be nonnegative, got ell={ell}")
-    if not 0 <= m <= ell:
-        raise ValueError(f"order must satisfy 0 <= m <= ell, got m={m}, ell={ell}")
-    xa = np.asarray(x, dtype=float)
-    scalar = xa.ndim == 0
-    if np.any(np.abs(xa) > 1.0):
-        raise ValueError("argument out of domain: |x| > 1")
-
-    # P_m^m, then two-term upward recurrence in the degree at fixed m.
-    pmm = np.ones_like(xa)
-    if m > 0:
-        somx2 = np.sqrt((1.0 - xa) * (1.0 + xa))
-        fact = 1.0
-        for _ in range(m):
-            pmm = pmm * (-fact) * somx2
-            fact += 2.0
-    if ell == m:
-        return float(pmm) if scalar else pmm
-    pmmp1 = xa * (2 * m + 1) * pmm
-    if ell == m + 1:
-        return float(pmmp1) if scalar else pmmp1
-    for ll in range(m + 2, ell + 1):
-        pll = (xa * (2 * ll - 1) * pmmp1 - (ll + m - 1) * pmm) / (ll - m)
-        pmm, pmmp1 = pmmp1, pll
-    return float(pmmp1) if scalar else pmmp1
 
 
 def _legendre_diagonal_square(m):

@@ -28,7 +28,9 @@ declared support bounds (kmax plus a per-k degree cap).  Indices beyond
 the bounds are exact zeros when the field is marked ``certified``; a
 field produced by projecting an arbitrary function is a truncation, is
 not certified, and downstream consumers refuse to treat its tail as
-zero.
+zero.  Measurements M(k, l, m) live on the same index set under the
+same caps, so they use the same container (``forward.MeasurementSet``
+is this class).
 
 Synthesis runs degree by degree.  For each ell, the signed coefficients
 of every order form one real matrix, and its product with the rows
@@ -183,7 +185,8 @@ def psi_eval(k: int, ell: int, m: int, r, theta, phi):
 
 @dataclass(frozen=True, eq=False)
 class CoefficientField:
-    """Expansion coefficients c_l^{k,m} with declared support bounds.
+    """Expansion coefficients c_l^{k,m} (or measurements M(k, l, m)) with
+    declared support bounds.
 
     Parameters
     ----------
@@ -220,9 +223,14 @@ class CoefficientField:
     def in_bounds(self, k: int, ell: int, m: int) -> bool:
         return 0 <= k <= self.kmax and abs(m) <= ell <= self.degree_caps[k]
 
-    def get(self, k: int, ell: int, m: int) -> complex:
-        """Stored coefficient, or 0 for an absent in-bounds index."""
-        return self.entries.get(ZernikeIndex(k, ell, m), 0.0 + 0.0j)
+    @property
+    def values(self) -> dict:
+        """The entries, under the name measurement code reads."""
+        return self.entries
+
+    def get(self, k: int, ell: int, m: int, default=0j):
+        """Stored value, or ``default`` for an absent index."""
+        return self.entries.get(ZernikeIndex(k, ell, m), default)
 
     def items_sorted(self):
         return sorted(self.entries.items(), key=lambda kv: (kv[0].k, kv[0].ell, kv[0].m))
@@ -230,6 +238,12 @@ class CoefficientField:
     def norm(self) -> float:
         """L^2(ball) norm of the represented field (basis orthonormality)."""
         return math.sqrt(sum(abs(v) ** 2 for v in self.entries.values()))
+
+    def rms(self) -> float:
+        """Root-mean-square magnitude of the stored values."""
+        if not self.entries:
+            return 0.0
+        return math.sqrt(sum(abs(v) ** 2 for v in self.entries.values()) / len(self.entries))
 
     def norms_per_k(self) -> list:
         out = [0.0] * (self.kmax + 1)

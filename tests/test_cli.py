@@ -408,6 +408,30 @@ def test_missing_input_file_exits_2(tmp_path):
                 "--out", str(tmp_path / "s.csv")]) == 2
 
 
+@pytest.mark.parametrize(
+    "verb, doc",
+    [
+        ("slice", '{"kmax": null, "entries": []}'),
+        ("slice", '{"kmax": 1e400, "entries": []}'),
+        ("slice", '{"kmax": 0, "certified": "false", "entries": []}'),
+        ("reconstruct", '{"K": [1], "entries": []}'),
+    ],
+)
+def test_malformed_document_header_exits_2(tmp_path, capsys, verb, doc):
+    src = tmp_path / "in.json"
+    src.write_text(doc)
+    out = tmp_path / "out"
+    if verb == "slice":
+        args = ["slice", "--coefficients", str(src), "--resolution", "3"]
+    else:
+        args = ["reconstruct", "--measurements", str(src), "--schedule", "0"]
+    assert run([*args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"error: {src}: ")
+    assert not out.exists()
+
+
 def test_help_exits_0(capsys):
     assert run(["--help"]) == 0
     assert "project" in capsys.readouterr().out

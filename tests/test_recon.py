@@ -16,7 +16,6 @@ from calderon3d.recon import (
     MissingMeasurementError,
     ScheduleViolation,
     TruncationSchedule,
-    big_d,
     big_q,
     coupling_operator,
     reconstruct,
@@ -24,6 +23,8 @@ from calderon3d.recon import (
     validate_schedule,
 )
 from calderon3d.zernike import CoefficientField, ZernikeIndex
+
+from reference import big_d, big_q_factored, tau_expanded
 
 
 def random_field(kmax, caps, rng, real_sym=False):
@@ -68,16 +69,14 @@ def test_tau_vanishes_two_past_the_degree_shift():
     k=st.integers(0, 12),
 )
 def test_tau_forms_agree(ell, ell_prime, k):
-    a = tau(ell, ell_prime, k, form="closed")
-    b = tau(ell, ell_prime, k, form="expanded")
+    a = tau(ell, ell_prime, k)
+    b = tau_expanded(ell, ell_prime, k)
     assert a == pytest.approx(b, rel=1e-13, abs=1e-13)
 
 
 def test_tau_rejects_bad_input():
     with pytest.raises(ValueError):
         tau(-1, 0, 0)
-    with pytest.raises(ValueError):
-        tau(0, 0, 0, form="open")
 
 
 # ---------------------------------------------------------------- big_d / big_q
@@ -93,7 +92,7 @@ def test_big_q_fixed_values():
     ]
     for args, want in cases:
         assert big_q(*args) == pytest.approx(want, rel=1e-13)
-        assert big_q(*args, form="factored") == pytest.approx(want, rel=1e-13)
+        assert big_q_factored(*args) == pytest.approx(want, rel=1e-13)
 
 
 def test_big_q_base_case_matches_first_measurement():
@@ -109,8 +108,8 @@ def test_big_q_closed_equals_factored(data):
     s = data.draw(st.integers(0, k), label="s")
     q = data.draw(st.integers(0, k - s), label="q")
     m = data.draw(st.integers(-ell, ell), label="m")
-    a = big_q(ell, s, k, m, q, form="closed")
-    b = big_q(ell, s, k, m, q, form="factored")
+    a = big_q(ell, s, k, m, q)
+    b = big_q_factored(ell, s, k, m, q)
     assert a == pytest.approx(b, rel=1e-12, abs=1e-15)
 
 
@@ -137,8 +136,6 @@ def test_big_q_rejects_bad_indices():
         big_q(2, 3, 2, 0, 0)  # s > k
     with pytest.raises(ValueError):
         big_q(2, 0, 1, 3, 0)  # |m| > ell
-    with pytest.raises(ValueError):
-        big_q(2, 0, 1, 0, 0, form="wide")
     with pytest.raises(ValueError):
         big_d(2, 3, 2, 0)
 

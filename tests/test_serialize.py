@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -142,6 +143,7 @@ def test_seventeen_digit_floats_survive(tmp_path):
 
 
 def test_loader_rejects_malformed_documents(tmp_path):
+    entry = '"m": 0, "re": 0, "im": 0'
     cases = {
         "bad.json": "not json at all",
         "list.json": "[1, 2]",
@@ -149,12 +151,40 @@ def test_loader_rejects_malformed_documents(tmp_path):
         "badentry.json": '{"kmax": 0, "entries": [{"k": 0}]}',
         "badindex.json": '{"kmax": 0, "entries": [{"k": 0, "ell": 1, "m": 2, "re": 0, "im": 0}]}',
         "highk.json": '{"kmax": 0, "entries": [{"k": 1, "ell": 0, "m": 0, "re": 0, "im": 0}]}',
+        "nullkmax.json": '{"kmax": null, "entries": []}',
+        "hugekmax.json": '{"kmax": 1e400, "entries": []}',
+        "negkmax.json": '{"kmax": -1, "entries": []}',
+        "textcertified.json": '{"kmax": 0, "certified": "false", "entries": []}',
+        "halfell.json": '{"kmax": 0, "entries": [{"k": 0, "ell": 2.5, ' + entry + "}]}",
+        "boolindex.json": '{"kmax": 0, "entries": [{"k": false, "ell": true, ' + entry + "}]}",
     }
-    for name, text in cases.items():
-        path = tmp_path / name
-        path.write_text(text)
-        with pytest.raises(ValueError):
-            load_coefficient_field(path)
+    measurement_cases = {
+        "listK.json": '{"K": [1], "entries": []}',
+        "boolK.json": '{"K": true, "entries": []}',
+    }
+    diagnostics = {"min_divisor": 1.0, "schedule": [0], "stages": [{"k": 0, "max_inner_sum_magnitude": 0}]}
+    report_cases = {
+        "nomin.json": {**diagnostics, "min_divisor": None},
+        "noschedule.json": {k: v for k, v in diagnostics.items() if k != "schedule"},
+        "textschedule.json": {**diagnostics, "schedule": "0"},
+        "nostages.json": {k: v for k, v in diagnostics.items() if k != "stages"},
+        "badstage.json": {**diagnostics, "stages": [{"k": 0}]},
+        "textregularised.json": {**diagnostics, "regularised": "true"},
+    }
+    report_cases = {
+        name: json.dumps({"kmax": 0, "entries": [], "diagnostics": diag})
+        for name, diag in report_cases.items()
+    }
+    for load, docs in [
+        (load_coefficient_field, cases),
+        (load_measurement_set, measurement_cases),
+        (load_recon_report, report_cases),
+    ]:
+        for name, text in docs.items():
+            path = tmp_path / name
+            path.write_text(text)
+            with pytest.raises(ValueError, match=re.escape(str(path))):
+                load(path)
     with pytest.raises(ValueError):
         load_coefficient_field(tmp_path / "missing.json")
     with pytest.raises(ValueError):

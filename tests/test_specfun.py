@@ -13,11 +13,8 @@ from sympy.physics.wigner import wigner_3j
 from calderon3d.quadrature import SphereQuadrature
 from calderon3d.specfun import (
     DEGREE_CAP,
-    SphIndex,
-    TripleIndex,
     _norm_legendre_degrees,
     _norm_legendre_sweep,
-    assoc_legendre,
     gaunt,
     gaunt_selection,
     sph_harm,
@@ -25,24 +22,9 @@ from calderon3d.specfun import (
     wigner3j,
 )
 
+from reference import assoc_legendre
+
 RNG = np.random.default_rng(20260815)
-
-
-# ---------------------------------------------------------------- indices
-
-
-def test_sph_index_validates():
-    SphIndex(3, -3)
-    with pytest.raises(ValueError):
-        SphIndex(2, 3)
-    with pytest.raises(ValueError):
-        SphIndex(-1, 0)
-
-
-def test_triple_index_validates():
-    TripleIndex(1, 2, 3, 0, -2, 1)
-    with pytest.raises(ValueError):
-        TripleIndex(1, 2, 3, 2, 0, 0)
 
 
 # ---------------------------------------------------- associated Legendre
