@@ -16,7 +16,7 @@ with u_a^b = r^a Y_a^b / a.  Two independent routes are provided:
   (exact to rounding, no truncation error).  The constants Q come from
   ``recon.coupling_operator``, built once per tuple of degree caps and
   kept in a small bounded cache that ``recon.reconstruct`` shares, so the
-  series is one scatter-add per radial index k;
+  series is one term-by-term pass per radial index k;
 * ``forward_measure_quadrature`` / ``oracle_measure``: direct ball
   quadrature of the kernel Phi for arbitrary evaluable fields.  The
   integral is separable: an azimuthal transform of the sampled field,
@@ -85,10 +85,7 @@ def forward_measure(c: CoefficientField, K: int, degree_caps) -> MeasurementSet:
     for idx, val in c.entries.items():
         if idx.k <= K and idx.ell <= op.col_caps[idx.k]:
             coeffs[op.column(idx.k, idx.ell, idx.m)] = val
-    # the q = k term comes last in the series, after the off-diagonal ones
-    values = np.concatenate(
-        [st.off_diagonal_sum(coeffs) + st.diag * coeffs[st.diag_cols] for st in op.stages]
-    )
+    values = np.concatenate([st.term_sum(coeffs) for st in op.stages])
     return MeasurementSet(dict(zip(op.keys, values.tolist())), K, caps)
 
 

@@ -31,12 +31,13 @@ is requested explicitly.
 For given degree caps the constants Q form one fixed sparse operator,
 built by ``coupling_operator`` and shared by ``forward.forward_measure``
 (which applies it) and ``reconstruct`` (which inverts it stage by stage).
-It holds every term (k, l, m, q, s) of the series as stage-grouped
-triplets over a flat (k, l, m) layout, with values equal to ``big_q``.
-Each Gaunt factor is evaluated once per (k, l, s, |m|) rather than once
-per term.  The operator is kept in a bounded cache keyed by the caps
-tuple; at the schedule (48, 44, ..., 20) it has 10,472 rows and 99,624
-terms, whose arrays take about 1.6 MB.
+Each stage k is a rectangular table over a flat (k, l, m) layout with
+values equal to ``big_q``: one table row per (q, s) in summation order,
+the divisor last.  ``CouplingStage.term_sum`` adds all the terms for the
+forward map and all but the divisor for the solve.  Each Gaunt factor is
+evaluated once per (k, l, s, |m|) rather than once per term.  The operator
+is kept in a bounded cache keyed by the caps tuple; at the schedule
+(48, 44, ..., 20) it has 10,472 rows and 99,624 terms in 1.24 MB.
 """
 
 from __future__ import annotations
@@ -193,36 +194,30 @@ def _order_free_factor(ell: int, s: int, k: int, q: int) -> float:
 class CouplingStage:
     """The terms of the measurements at one radial index k.
 
-    Rows are local to the stage, in (ell, m) order.  The off-diagonal
-    triplets (``rows``, ``cols``, ``vals``) hold every term with q < k,
-    sorted by (row, q, s), which is the series' summation order.  The
-    q = k term of each row is its own coefficient times ``diag``, the
-    divisor Q_{l,0}^{k,m,k} of the forward substitution.
+    ``cols`` and ``vals`` have shape (terms, rows); rows are local to the
+    stage, in (ell, m) order, and term j is the j-th (q, s) of the series.
+    The last, q = k and s = 0, is each row's own coefficient ``cols[-1]``
+    times the divisor ``vals[-1]`` = Q_{l,0}^{k,m,k}.
     """
 
     start: int  # flat index of the stage's first row
-    rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
-    diag_cols: np.ndarray
-    diag: np.ndarray
     solve_order: np.ndarray  # rows in (ell descending, m ascending) order
 
     @property
     def size(self) -> int:
-        return self.diag.size
+        return self.vals.shape[1]
 
-    def off_diagonal_sum(self, coeffs: np.ndarray) -> np.ndarray:
-        """Per row, the sum over q < k of Q times the coefficient in ``coeffs``
-        (a flat column vector), accumulated in (q, s) order."""
-
-        def part(x):
-            # bincount adds its weights one by one in input order
-            return np.bincount(self.rows, self.vals * x[self.cols], minlength=self.size)
-
-        out = np.empty(self.size, dtype=complex)
-        out.real = part(coeffs.real)
-        out.imag = part(coeffs.imag)
+    def term_sum(self, coeffs: np.ndarray, stop: int | None = None) -> np.ndarray:
+        """Per row, its terms before ``stop`` (all by default) against the flat
+        column vector ``coeffs``, added one at a time from zero, real and
+        imaginary parts apart; a numpy reduction would leave the order open."""
+        out = np.zeros(self.size, dtype=complex)
+        for c, v in zip(self.cols[:stop], self.vals[:stop]):
+            x = coeffs[c]
+            out.real += v * x.real
+            out.imag += v * x.imag
         return out
 
 
@@ -306,16 +301,12 @@ def coupling_operator(caps: tuple) -> CouplingOperator:
                 np.where(g == 0.0, 0.0, sign * (factor * g)),
             )
 
-        off = [term(q, s) for q in range(k) for s in range(k - q + 1)]
-        diag_cols, diag = term(k, 0)
+        terms = [term(q, s) for q in range(k + 1) for s in range(k - q + 1)]
         stages.append(
             CouplingStage(
                 start=start,
-                rows=_frozen(np.repeat(np.arange(ell.size), len(off)), np.int32),
-                cols=_frozen(np.transpose([c for c, _ in off]).reshape(-1), np.int32),
-                vals=_frozen(np.transpose([v for _, v in off]).reshape(-1), float),
-                diag_cols=_frozen(diag_cols, np.int32),
-                diag=_frozen(diag, float),
+                cols=_frozen([c for c, _ in terms], np.int32),
+                vals=_frozen([v for _, v in terms], float),
                 solve_order=_frozen(
                     np.concatenate([np.arange(l * l, (l + 1) ** 2) for l in range(cap, -1, -1)]),
                     np.int32,
@@ -350,7 +341,7 @@ def reconstruct(
     Stages run in increasing k; within a stage the (ell, m) order is
     irrelevant because the inner sum touches only earlier stages, so each
     stage is one vectorised update over the shared coupling operator,
-    c_k = (M_k - Q_offdiag c_{<k}) / divisor_k.  With
+    c_k = (M_k - every term but the divisor) / divisor.  With
     exact measurements of a field supported inside a feasible schedule
     the recovery is exact to rounding.
 
@@ -384,21 +375,22 @@ def reconstruct(
         if None in rows:
             gap = op.keys[st.start + next(i for i in st.solve_order if rows[i] is None)]
             raise MissingMeasurementError(gap.k, gap.ell, gap.m)
-        for i in st.solve_order[np.abs(st.diag[st.solve_order]) < DIVISOR_UNDERFLOW]:
+        divisor = st.vals[-1]
+        for i in st.solve_order[np.abs(divisor[st.solve_order]) < DIVISOR_UNDERFLOW]:
             idx = op.keys[st.start + i]
             warnings.warn(
-                f"divisor |Q| = {abs(st.diag[i]):.3e} below {DIVISOR_UNDERFLOW} at "
+                f"divisor |Q| = {abs(divisor[i]):.3e} below {DIVISOR_UNDERFLOW} at "
                 f"(k={idx.k}, ell={idx.ell}, m={idx.m}); the special functions are suspect",
                 DivisorUnderflowWarning,
             )
-        inner = st.off_diagonal_sum(coeffs)
+        inner = st.term_sum(coeffs, -1)
         rhs = np.array(rows, dtype=complex) - inner
         # divide each part: numpy's complex / float multiplies by the
         # reciprocal, which rounds differently from a true division
         x = np.empty_like(rhs)
-        x.real = rhs.real / st.diag
-        x.imag = rhs.imag / st.diag
-        coeffs[st.diag_cols] = x
+        x.real = rhs.real / divisor
+        x.imag = rhs.imag / divisor
+        coeffs[st.cols[-1]] = x
         recovered[st.start : st.start + st.size] = x
         # np.hypot rounds like the builtin abs(complex); np.abs does not
         largest = float(np.hypot(inner.real, inner.imag).max())
@@ -408,7 +400,7 @@ def reconstruct(
     return ReconReport(
         field=CoefficientField(entries, schedule.K, schedule.caps, certified=True),
         schedule=schedule,
-        min_divisor=min(float(np.abs(st.diag).min()) for st in op.stages),
+        min_divisor=min(float(np.abs(st.vals[-1]).min()) for st in op.stages),
         stages=tuple(stages),
         # an infeasible schedule always leaves some dependency unreconstructed
         regularised=bool(violations),

@@ -13,15 +13,18 @@ where indices beyond the stored support must not be assumed zero.
 Measurement documents:  {"K": int, "entries": [... same shape ...]}.
 Both kinds hold the same container, so one writer and one reader serve
 them.  The reader requires the header ("kmax" or "K") to be a
-nonnegative JSON integer, "certified" to be a JSON boolean, every index
-to be a JSON integer and every value a finite JSON number; anything else
-is a ValueError that names the file.
+JSON integer from 0 to specfun.DEGREE_CAP, checked before anything is
+sized from it, "certified" to be a JSON boolean, every index to be a
+JSON integer and every value a finite JSON number; anything else is a
+ValueError that names the file.
 
 Reconstruction reports: a coefficient document plus a "diagnostics"
 object {"min_divisor", "schedule", "stages": [{"k",
 "max_inner_sum_magnitude"}]} and, only when zero-fill regularisation
 actually substituted values, "regularised": true.  A missing or
-malformed diagnostics field is a ValueError that names the file.
+malformed diagnostics field, a schedule other than the entries' per-k
+degree caps, or stages other than k = 0..kmax in order is a ValueError
+that names the file.
 
 Slice files: CSV with header x,y,z,value, row-major over the grid; the
 value column is empty at sample points outside the closed unit ball.
@@ -38,6 +41,7 @@ import numpy as np
 
 from .forward import MeasurementSet
 from .recon import ReconReport, StageDiagnostic, TruncationSchedule
+from .specfun import DEGREE_CAP
 from .zernike import CoefficientField, ZernikeIndex
 
 __all__ = [
@@ -113,8 +117,12 @@ def _read_document(path, key: str, kind: str):
     if key not in doc:
         raise ValueError(f"{path}: not a {kind} document (no {key!r})")
     kmax = doc[key]
-    if type(kmax) is not int or kmax < 0:
-        raise ValueError(f"{path}: {key!r} must be a nonnegative integer, got {kmax!r}")
+    # checked before the caps list below is sized from it
+    if type(kmax) is not int or not 0 <= kmax <= DEGREE_CAP:
+        raise ValueError(
+            f"{path}: {key!r} must be an integer from 0 to DEGREE_CAP = {DEGREE_CAP}, "
+            f"got {kmax!r}"
+        )
     certified = doc.get("certified", True)
     if type(certified) is not bool:
         raise ValueError(f"{path}: 'certified' must be true or false, got {certified!r}")
@@ -193,7 +201,7 @@ def load_recon_report(path) -> ReconReport:
         regularised = diag.get("regularised", False)
         if type(regularised) is not bool:
             raise TypeError(f"'regularised' must be true or false, got {regularised!r}")
-        return ReconReport(
+        rep = ReconReport(
             field=field,
             schedule=TruncationSchedule(tuple(_int(c) for c in diag["schedule"])),
             min_divisor=_float(diag["min_divisor"]),
@@ -208,6 +216,15 @@ def load_recon_report(path) -> ReconReport:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: missing or malformed diagnostics field ({exc})") from exc
+    # reconstruct writes every (k, ell <= caps[k], m), so the entries fix the schedule
+    if rep.schedule.caps != field.degree_caps:
+        raise ValueError(
+            f"{path}: schedule {list(rep.schedule.caps)} does not match the entries' "
+            f"degree caps {list(field.degree_caps)}"
+        )
+    if [st.k for st in rep.stages] != list(range(len(field.degree_caps))):
+        raise ValueError(f"{path}: stages must run k = 0..{field.kmax} in order")
+    return rep
 
 
 # ------------------------------------------------------------- slices

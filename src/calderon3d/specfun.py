@@ -226,7 +226,9 @@ def _sqrt_fraction(fr: Fraction) -> float:
     return isqrt((n * d) << 240) / (d << 120)
 
 
-@lru_cache(maxsize=None)
+# bounded: inside an operator build the only reuse is the zero-order
+# symbol across consecutive m, so a few hundred entries catch every hit
+@lru_cache(maxsize=256)
 def _w3j_signed_square(j1: int, j2: int, j3: int, m1: int, m2: int, m3: int):
     """Sign and exact square of a 3j symbol, selection rules already checked.
 

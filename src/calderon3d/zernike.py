@@ -52,7 +52,13 @@ from math import comb
 import numpy as np
 
 from .quadrature import BallQuadrature
-from .specfun import _negative_order_sign, _norm_legendre_degrees, _norm_legendre_sweep, sph_harm
+from .specfun import (
+    DEGREE_CAP,
+    _negative_order_sign,
+    _norm_legendre_degrees,
+    _norm_legendre_sweep,
+    sph_harm,
+)
 
 __all__ = [
     "ZernikeIndex",
@@ -85,9 +91,15 @@ class ZernikeIndex:
 
 
 def as_caps(kmax: int, caps) -> tuple[int, ...]:
-    """Normalize a degree bound (scalar or per-k sequence) to a tuple."""
+    """Normalize a degree bound (scalar or per-k sequence) to a tuple.
+
+    ``kmax`` is at most DEGREE_CAP: no stage past it can be simulated or
+    reconstructed, and a file header can then never size a huge allocation.
+    """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
+    if kmax > DEGREE_CAP:
+        raise ValueError(f"kmax {kmax} exceeds DEGREE_CAP = {DEGREE_CAP}")
     if isinstance(caps, (int, np.integer)):
         caps = (int(caps),) * (kmax + 1)
     caps = tuple(int(c) for c in caps)

@@ -249,9 +249,11 @@ def test_reconstruct_zero_fill_overrides_infeasibility(tmp_path, small_field):
     assert load_recon_report(out).regularised
 
 
-def test_reconstruct_missing_measurements_exit_4(tmp_path, small_field, capsys):
+@pytest.mark.parametrize("flags", [[], ["--zero-fill"]], ids=["exact", "zero-fill"])
+def test_reconstruct_missing_measurements_exit_4(tmp_path, small_field, capsys, flags):
+    # the schedule is feasible, so zero-fill has nothing to substitute
     ms = make_measurements(tmp_path, small_field, caps="4,2")
-    code = run(["reconstruct", "--measurements", str(ms), "--schedule", "6,4",
+    code = run(["reconstruct", "--measurements", str(ms), "--schedule", "6,4", *flags,
                 "--out", str(tmp_path / "x.json")])
     assert code == 4
     assert "absent" in capsys.readouterr().err
@@ -413,6 +415,7 @@ def test_missing_input_file_exits_2(tmp_path):
     [
         ("slice", '{"kmax": null, "entries": []}'),
         ("slice", '{"kmax": 1e400, "entries": []}'),
+        ("slice", '{"kmax": 10000000000, "entries": []}'),
         ("slice", '{"kmax": 0, "certified": "false", "entries": []}'),
         ("reconstruct", '{"K": [1], "entries": []}'),
     ],

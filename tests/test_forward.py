@@ -59,6 +59,26 @@ def test_single_low_order_entry_hits_the_expected_couplings():
             assert val == 0, idx
 
 
+def test_series_is_summed_term_by_term_in_q_s_order():
+    # the output files depend on the rounding of the series, so pin its
+    # summation order bit for bit: left to right over (q, s) from 0.0,
+    # real and imaginary parts separately
+    rng = np.random.default_rng(26)
+    caps = (8, 6, 4, 2)
+    c = random_field(3, caps, rng)
+    ms = forward_measure(c, 3, caps)
+    assert len(ms.entries) == 164
+    for idx, val in ms.entries.items():
+        k, ell, m = idx.k, idx.ell, idx.m
+        re = im = 0.0
+        for q in range(k + 1):
+            for s in range(k - q + 1):
+                coupling, coeff = big_q(ell, s, k, m, q), c.get(q, ell + 2 * s, m)
+                re += coupling * coeff.real
+                im += coupling * coeff.imag
+        assert (val.real, val.imag) == (re, im), idx
+
+
 def test_linearity():
     rng = np.random.default_rng(21)
     caps = (4, 2)

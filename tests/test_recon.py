@@ -304,7 +304,8 @@ def test_divisor_underflow_warns(monkeypatch):
     def tiny(caps):
         op = original(caps)
         stages = tuple(
-            dataclasses.replace(st, diag=np.full_like(st.diag, 1e-20)) for st in op.stages
+            dataclasses.replace(st, vals=np.vstack([st.vals[:-1], np.full(st.size, 1e-20)]))
+            for st in op.stages
         )
         return dataclasses.replace(op, stages=stages)
 
@@ -342,17 +343,16 @@ def test_operator_entries_equal_big_q():
         for m in range(-ell, ell + 1)
     )
     for k, st in enumerate(op.stages):
-        terms: dict = {}
-        for row, col, val in zip(st.rows, st.cols, st.vals):
-            terms.setdefault(int(row), []).append((column[int(col)], float(val)))
+        assert st.cols.shape == st.vals.shape == ((k + 1) * (k + 2) // 2, st.size)
         for row in range(st.size):
             idx = op.keys[st.start + row]
             assert idx.k == k
-            assert column[int(st.diag_cols[row])] == (k, idx.ell, idx.m)
-            assert st.diag[row] == big_q(idx.ell, 0, k, idx.m, k)
-            # every q < k term, in the series' (q, s) order
-            got = terms.get(row, [])
-            want = [(q, s) for q in range(k) for s in range(k - q + 1)]
+            # the last term is the divisor, on the measurement's own coefficient
+            assert column[int(st.cols[-1, row])] == (k, idx.ell, idx.m)
+            assert st.vals[-1, row] == big_q(idx.ell, 0, k, idx.m, k)
+            # every term, in the series' (q, s) order
+            got = [(column[int(c)], float(v)) for c, v in zip(st.cols[:, row], st.vals[:, row])]
+            want = [(q, s) for q in range(k + 1) for s in range(k - q + 1)]
             assert [(q, (ell - idx.ell) // 2) for (q, ell, _), _ in got] == want
             for (q, ell, m), val in got:
                 assert m == idx.m

@@ -154,6 +154,7 @@ def test_loader_rejects_malformed_documents(tmp_path):
         "nullkmax.json": '{"kmax": null, "entries": []}',
         "hugekmax.json": '{"kmax": 1e400, "entries": []}',
         "negkmax.json": '{"kmax": -1, "entries": []}',
+        "pastcapkmax.json": '{"kmax": 129, "entries": []}',
         "textcertified.json": '{"kmax": 0, "certified": "false", "entries": []}',
         "halfell.json": '{"kmax": 0, "entries": [{"k": 0, "ell": 2.5, ' + entry + "}]}",
         "boolindex.json": '{"kmax": 0, "entries": [{"k": false, "ell": true, ' + entry + "}]}",
@@ -161,6 +162,7 @@ def test_loader_rejects_malformed_documents(tmp_path):
     measurement_cases = {
         "listK.json": '{"K": [1], "entries": []}',
         "boolK.json": '{"K": true, "entries": []}',
+        "hugeK.json": '{"K": 10000000000, "entries": []}',
     }
     diagnostics = {"min_divisor": 1.0, "schedule": [0], "stages": [{"k": 0, "max_inner_sum_magnitude": 0}]}
     report_cases = {
@@ -170,6 +172,8 @@ def test_loader_rejects_malformed_documents(tmp_path):
         "nostages.json": {k: v for k, v in diagnostics.items() if k != "stages"},
         "badstage.json": {**diagnostics, "stages": [{"k": 0}]},
         "textregularised.json": {**diagnostics, "regularised": "true"},
+        "otherschedule.json": {**diagnostics, "schedule": [9, 7, 5]},
+        "otherstage.json": {**diagnostics, "stages": [{"k": 4, "max_inner_sum_magnitude": 0}]},
     }
     report_cases = {
         name: json.dumps({"kmax": 0, "entries": [], "diagnostics": diag})

@@ -10,7 +10,7 @@ import pytest
 
 from calderon3d import zernike
 from calderon3d.quadrature import BallQuadrature
-from calderon3d.specfun import sph_harm
+from calderon3d.specfun import DEGREE_CAP, sph_harm
 from calderon3d.zernike import (
     CoefficientField,
     ZernikeIndex,
@@ -211,6 +211,15 @@ def test_field_bounds_checking():
         CoefficientField({(2, 0, 0): 1.0}, kmax=1, degree_caps=(0, 2))
     with pytest.raises(ValueError):
         CoefficientField({(0, 1, 0): 1.0}, kmax=1, degree_caps=(0, 2))
+
+
+def test_radial_bound_stops_at_degree_cap():
+    # so no container, and no file the tool writes, declares stages past it
+    assert as_caps(DEGREE_CAP, 0) == (0,) * (DEGREE_CAP + 1)
+    with pytest.raises(ValueError, match="DEGREE_CAP"):
+        as_caps(DEGREE_CAP + 1, 0)
+    with pytest.raises(ValueError, match="DEGREE_CAP"):
+        CoefficientField({}, kmax=10**10, degree_caps=0)
 
 
 def test_field_get_and_norms():
