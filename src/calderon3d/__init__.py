@@ -42,7 +42,6 @@ from .forward import (
     MeasurementSet,
     IncompleteSupportError,
     forward_measure,
-    forward_measure_quadrature,
     oracle_measure,
     add_noise,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "MeasurementSet",
     "IncompleteSupportError",
     "forward_measure",
-    "forward_measure_quadrature",
     "oracle_measure",
     "add_noise",
     "TruncationSchedule",

@@ -14,8 +14,8 @@ Verbs:
 
 Every command is deterministic given its arguments and seed; output
 files are byte-stable across runs.  Exit codes: 0 success, 2 bad
-arguments or inputs, 3 infeasible schedule, 4 missing measurements,
-5 self-test failure.
+arguments or inputs (including a request too large to allocate),
+3 infeasible schedule, 4 missing measurements, 5 self-test failure.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from .forward import IncompleteSupportError, add_noise, forward_measure, oracle_measure
-from .phantoms import PhantomSpec
+from .phantoms import PHANTOM_NAMES, PhantomSpec
 from .quadrature import BallQuadrature
 from .recon import (
     InfeasibleScheduleError,
@@ -56,29 +56,33 @@ EXIT_MISSING = 4
 EXIT_SELFTEST = 5
 
 
+def _split(text: str, convert, expected: str, count: int | None = None) -> tuple:
+    """The comma-separated items of ``text``, converted; spaces and empty
+    items are ignored.  Raises an argparse error naming ``expected``."""
+    try:
+        values = tuple(convert(p) for p in text.replace(" ", "").split(",") if p)
+    except ValueError:
+        values = ()
+    if not values or (count and len(values) != count):
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return values
+
+
 def _parse_vector(text: str) -> tuple:
-    parts = [p for p in text.replace(" ", "").split(",") if p]
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected three comma-separated numbers, got {text!r}")
-    return tuple(float(p) for p in parts)
+    return _split(text, float, "three comma-separated numbers", 3)
 
 
 def _parse_index(text: str) -> tuple:
-    parts = [p for p in text.replace(" ", "").split(",") if p]
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected k,ell,m integers, got {text!r}")
-    return tuple(int(p) for p in parts)
+    return _split(text, int, "k,ell,m integers", 3)
+
+
+def _parse_ints(text: str) -> tuple:
+    return _split(text, int, "comma-separated integers")
 
 
 def _parse_caps(text: str):
-    parts = [p for p in text.replace(" ", "").split(",") if p]
-    try:
-        values = [int(p) for p in parts]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected integers, got {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("empty degree-cap list")
-    return values[0] if len(values) == 1 else tuple(values)
+    values = _parse_ints(text)
+    return values[0] if len(values) == 1 else values
 
 
 def _parse_plane(text: str) -> tuple:
@@ -103,7 +107,7 @@ def _add_quad_flags(p: argparse.ArgumentParser) -> None:
 def _add_phantom_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--phantom",
-        choices=("gaussian", "basis", "zero"),
+        choices=PHANTOM_NAMES,
         help="built-in phantom name",
     )
     p.add_argument(
@@ -195,7 +199,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     ms = load_measurement_set(args.measurements)
-    schedule = TruncationSchedule.from_string(args.schedule)
+    schedule = TruncationSchedule(args.schedule)
     report = reconstruct(ms, schedule, zero_fill=args.zero_fill)
     dump_recon_report(report, args.out)
     print(f"schedule {','.join(str(c) for c in schedule.caps)}  min divisor {report.min_divisor:.6e}")
@@ -275,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reconstruct", help="recover coefficients from measurements")
     p.add_argument("--measurements", required=True, help="input measurement JSON path")
-    p.add_argument("--schedule", required=True, metavar="L0,L1,...",
+    p.add_argument("--schedule", type=_parse_ints, required=True, metavar="L0,L1,...",
                    help="per-stage degree caps")
     p.add_argument("--zero-fill", action="store_true",
                    help="substitute zeros for dependencies an infeasible schedule dropped")
@@ -315,7 +319,7 @@ def main(argv=None) -> int:
     except MissingMeasurementError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING
-    except (IncompleteSupportError, ValueError, OSError) as exc:
+    except (IncompleteSupportError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
 

@@ -17,10 +17,11 @@ with u_a^b = r^a Y_a^b / a.  Two independent routes are provided:
   ``recon.coupling_operator``, built once per tuple of degree caps and
   kept in a small bounded cache that ``recon.reconstruct`` shares, so the
   series is one term-by-term pass per radial index k;
-* ``forward_measure_quadrature`` / ``oracle_measure``: direct ball
-  quadrature of the kernel Phi for arbitrary evaluable fields.  The
-  integral is separable: an azimuthal transform of the sampled field,
-  one normalised Legendre sweep per order and a radial power sum.
+* ``oracle_measure``: direct ball quadrature of the kernel Phi for
+  arbitrary evaluable fields, sampled on the grid by the same rule as
+  ``zernike.project``.  The integral is separable: an azimuthal
+  transform of the sampled field, one normalised Legendre sweep per
+  order and a radial power sum.
 
 Agreement of the two routes is the module's central cross-check.
 Measurements are indexed and capped like coefficients, so they are held
@@ -36,13 +37,12 @@ import numpy as np
 from . import specfun
 from .quadrature import BallQuadrature
 from .recon import coupling_operator
-from .zernike import CoefficientField, ZernikeIndex, _azimuthal_transform, as_caps
+from .zernike import CoefficientField, ZernikeIndex, _azimuthal_transform, _sample_on_ball, as_caps
 
 __all__ = [
     "MeasurementSet",
     "IncompleteSupportError",
     "forward_measure",
-    "forward_measure_quadrature",
     "oracle_measure",
     "add_noise",
 ]
@@ -147,34 +147,6 @@ def _oracle_values(eta_cube: np.ndarray, caps: tuple, quad: BallQuadrature) -> d
         for ell in range(cap + 1)
         for m in range(-ell, ell + 1)
     }
-
-
-def _sample_on_ball(eta, quad: BallQuadrature) -> np.ndarray:
-    x, y, z = quad.cartesian_grid()
-    cube = np.asarray(eta(x, y, z))
-    if cube.shape != x.shape:
-        raise ValueError("field evaluation must preserve the grid shape")
-    return cube
-
-
-def forward_measure_quadrature(
-    eta, k: int, ell: int, m: int, quad: BallQuadrature | None = None
-) -> complex:
-    """Single measurement by ball quadrature of an evaluable field.
-
-    The (k, ell, m) entry of ``oracle_measure(eta, k, ell, quad)``.
-
-    Parameters
-    ----------
-    eta : callable
-        Vectorized field eta(x, y, z) on Cartesian coordinate arrays.
-    k, ell, m : int
-        Measurement index, |m| <= ell.
-    quad : BallQuadrature, optional
-        Defaults to the standard orders (48, 64, 128).
-    """
-    ZernikeIndex(k, ell, m)  # validates the index
-    return oracle_measure(eta, k, ell, quad).get(k, ell, m)
 
 
 def oracle_measure(eta, K: int, degree_caps, quad: BallQuadrature | None = None) -> MeasurementSet:

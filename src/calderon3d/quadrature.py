@@ -67,10 +67,6 @@ class SphereQuadrature:
         """Combined weights on the (n_theta, n_phi) grid."""
         return self.theta_weights[:, None] * np.full(self.n_phi, self.phi_weight)
 
-    def integrate(self, values: np.ndarray) -> complex:
-        """Integrate a field sampled on the (n_theta, n_phi) grid."""
-        return complex(np.sum(values * self.weights_grid()))
-
 
 @dataclass(frozen=True, eq=False)
 class BallQuadrature:

@@ -30,14 +30,14 @@ is requested explicitly.
 
 For given degree caps the constants Q form one fixed sparse operator,
 built by ``coupling_operator`` and shared by ``forward.forward_measure``
-(which applies it) and ``reconstruct`` (which inverts it stage by stage).
-Each stage k is a rectangular table over a flat (k, l, m) layout with
-values equal to ``big_q``: one table row per (q, s) in summation order,
-the divisor last.  ``CouplingStage.term_sum`` adds all the terms for the
-forward map and all but the divisor for the solve.  Each Gaunt factor is
-evaluated once per (k, l, s, |m|) rather than once per term.  The operator
-is kept in a bounded cache keyed by the caps tuple; at the schedule
-(48, 44, ..., 20) it has 10,472 rows and 99,624 terms in 1.24 MB.
+(which applies it) and ``reconstruct`` (which inverts it stage by stage),
+both in one (k, l, m) row order.  Each stage k is a rectangular table
+with values equal to ``big_q``: one table row per (q, s) in summation
+order, the divisor last.  ``CouplingStage.term_sum`` adds all the terms
+for the forward map and all but the divisor for the solve.  Each Gaunt
+factor is evaluated once per (k, l, s, |m|) rather than once per term.
+The operator is kept in a bounded cache keyed by the caps tuple; at the
+schedule (48, 44, ..., 20) it has 10,472 rows and 99,624 terms in 1.20 MB.
 """
 
 from __future__ import annotations
@@ -195,7 +195,8 @@ class CouplingStage:
     """The terms of the measurements at one radial index k.
 
     ``cols`` and ``vals`` have shape (terms, rows); rows are local to the
-    stage, in (ell, m) order, and term j is the j-th (q, s) of the series.
+    stage, in the (ell, m) order of both the forward map and the solve,
+    and term j is the j-th (q, s) of the series.
     The last, q = k and s = 0, is each row's own coefficient ``cols[-1]``
     times the divisor ``vals[-1]`` = Q_{l,0}^{k,m,k}.
     """
@@ -203,7 +204,6 @@ class CouplingStage:
     start: int  # flat index of the stage's first row
     cols: np.ndarray
     vals: np.ndarray
-    solve_order: np.ndarray  # rows in (ell descending, m ascending) order
 
     @property
     def size(self) -> int:
@@ -307,10 +307,6 @@ def coupling_operator(caps: tuple) -> CouplingOperator:
                 start=start,
                 cols=_frozen([c for c, _ in terms], np.int32),
                 vals=_frozen([v for _, v in terms], float),
-                solve_order=_frozen(
-                    np.concatenate([np.arange(l * l, (l + 1) ** 2) for l in range(cap, -1, -1)]),
-                    np.int32,
-                ),
             )
         )
         start += ell.size
@@ -343,7 +339,7 @@ def reconstruct(
     stage is one vectorised update over the shared coupling operator,
     c_k = (M_k - every term but the divisor) / divisor.  With
     exact measurements of a field supported inside a feasible schedule
-    the recovery is exact to rounding.
+    the recovery is exact to rounding.  Entries come in (k, ell, m) order.
 
     Parameters
     ----------
@@ -360,23 +356,23 @@ def reconstruct(
     InfeasibleScheduleError
         Schedule violates the dependency inequality and zero_fill is off.
     MissingMeasurementError
-        Names the first absent measurement index.
+        Raised before any stage runs; names the first absent index in
+        (k ascending, ell descending, m ascending) order.
     """
     violations = validate_schedule(schedule)
     if violations and not zero_fill:
         raise InfeasibleScheduleError(violations)
     op = coupling_operator(schedule.caps)
     measured = [ms.entries.get(key) for key in op.keys]
+    gaps = [key for key, value in zip(op.keys, measured) if value is None]
+    if gaps:
+        gap = min(gaps, key=lambda i: (i.k, -i.ell, i.m))
+        raise MissingMeasurementError(gap.k, gap.ell, gap.m)
     coeffs = np.zeros(op.col_base[-1], dtype=complex)  # stays 0 where never reconstructed
-    recovered = np.empty(len(op.keys), dtype=complex)
     stages = []
     for k, st in enumerate(op.stages):
-        rows = measured[st.start : st.start + st.size]
-        if None in rows:
-            gap = op.keys[st.start + next(i for i in st.solve_order if rows[i] is None)]
-            raise MissingMeasurementError(gap.k, gap.ell, gap.m)
         divisor = st.vals[-1]
-        for i in st.solve_order[np.abs(divisor[st.solve_order]) < DIVISOR_UNDERFLOW]:
+        for i in np.flatnonzero(np.abs(divisor) < DIVISOR_UNDERFLOW):
             idx = op.keys[st.start + i]
             warnings.warn(
                 f"divisor |Q| = {abs(divisor[i]):.3e} below {DIVISOR_UNDERFLOW} at "
@@ -384,19 +380,16 @@ def reconstruct(
                 DivisorUnderflowWarning,
             )
         inner = st.term_sum(coeffs, -1)
-        rhs = np.array(rows, dtype=complex) - inner
+        rhs = np.array(measured[st.start : st.start + st.size], dtype=complex) - inner
         # divide each part: numpy's complex / float multiplies by the
         # reciprocal, which rounds differently from a true division
-        x = np.empty_like(rhs)
-        x.real = rhs.real / divisor
-        x.imag = rhs.imag / divisor
-        coeffs[st.cols[-1]] = x
-        recovered[st.start : st.start + st.size] = x
+        coeffs.real[st.cols[-1]] = rhs.real / divisor
+        coeffs.imag[st.cols[-1]] = rhs.imag / divisor
         # np.hypot rounds like the builtin abs(complex); np.abs does not
         largest = float(np.hypot(inner.real, inner.imag).max())
         stages.append(StageDiagnostic(k=k, max_inner_sum_magnitude=largest))
-    order = np.concatenate([st.start + st.solve_order for st in op.stages])
-    entries = dict(zip([op.keys[i] for i in order], recovered[order].tolist()))
+    solution = np.concatenate([coeffs[st.cols[-1]] for st in op.stages])
+    entries = dict(zip(op.keys, solution.tolist()))
     return ReconReport(
         field=CoefficientField(entries, schedule.K, schedule.caps, certified=True),
         schedule=schedule,

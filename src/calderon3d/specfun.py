@@ -43,7 +43,10 @@ __all__ = [
     "POLE_GUARD",
 ]
 
-# Largest degree accepted by wigner3j; factorials up to 3*cap+1 stay exact.
+# Largest degree accepted by wigner3j and gaunt, and the largest kmax a
+# container or file header may declare.  Integer and Fraction arithmetic is
+# exact at any size; the cap bounds the cost of the exact Racah sums and
+# the allocations that a file header or a caps tuple can request.
 DEGREE_CAP = 128
 
 # sin(theta) below this raises in sph_harm_surface_grad.  Gauss-Legendre

@@ -32,6 +32,9 @@ zero.  Measurements M(k, l, m) live on the same index set under the
 same caps, so they use the same container (``forward.MeasurementSet``
 is this class).
 
+``project`` and ``forward.oracle_measure`` sample a field through one
+helper, which rejects a result that does not have the grid's shape.
+
 Synthesis runs degree by degree.  For each ell, the signed coefficients
 of every order form one real matrix, and its product with the rows
 R_l^k(r), k = 0..K, gives all orders' radial profiles at once.  The
@@ -281,6 +284,16 @@ def _spherical_from_cartesian(x, y, z):
     return r, theta, phi
 
 
+def _sample_on_ball(eta, quad: BallQuadrature) -> np.ndarray:
+    """eta(x, y, z) on the (n_r, n_theta, n_phi) grid of ``quad``; a result
+    of any other shape raises ValueError."""
+    x, y, z = quad.cartesian_grid()
+    cube = np.asarray(eta(x, y, z))
+    if cube.shape != x.shape:
+        raise ValueError("field evaluation must preserve the grid shape")
+    return cube
+
+
 def _azimuthal_transform(values: np.ndarray, quad: BallQuadrature, lmax: int) -> np.ndarray:
     """F[i, j, m + lmax] = sum_p w_phi values[i, j, p] exp(-i m phi_p), |m| <= lmax.
 
@@ -298,8 +311,8 @@ def project(eta, kmax: int, degree_caps, quad: BallQuadrature | None = None) -> 
     Parameters
     ----------
     eta : callable
-        Field on the ball, called as eta(x, y, z) with broadcasting
-        ndarray arguments (cartesian coordinates).
+        Field on the ball, called as eta(x, y, z) on the cartesian node
+        arrays of ``quad``; a result not of their shape raises ValueError.
     kmax, degree_caps : int, int or sequence
         Support bounds of the requested expansion.
     quad : BallQuadrature, optional
@@ -317,11 +330,7 @@ def project(eta, kmax: int, degree_caps, quad: BallQuadrature | None = None) -> 
     if quad is None:
         quad = BallQuadrature()
     lmax = max(caps)
-    x, y, z = quad.cartesian_grid()
-    e_vals = np.asarray(eta(x, y, z), dtype=complex)
-    if e_vals.shape != x.shape:
-        e_vals = np.broadcast_to(e_vals, x.shape).astype(complex)
-    f_m = _azimuthal_transform(e_vals, quad, lmax)
+    f_m = _azimuthal_transform(_sample_on_ball(eta, quad), quad, lmax)
     # weighted radial profiles: one recurrence per degree, up to the last k that reaches it
     radial = [
         quad.r_weights

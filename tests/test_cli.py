@@ -324,6 +324,17 @@ def test_slice_rejects_non_finite_plane_offset(tmp_path, small_field, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n", ["1", "10000000"])
+def test_slice_rejects_a_resolution_it_cannot_sample(tmp_path, small_field, capsys, n):
+    # 10^7 per axis asks for more memory than a 64-bit address space holds
+    out = tmp_path / "s.csv"
+    assert run(["slice", "--coefficients", str(small_field), "--resolution", n,
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_slice_partial_sum_at_kmax_equals_full(tmp_path, small_field):
     a, b = tmp_path / "full.csv", tmp_path / "part.csv"
     assert run(["slice", "--coefficients", str(small_field), "--resolution", "9",
@@ -403,6 +414,12 @@ def test_argparse_errors_exit_2(tmp_path):
     assert run(["reconstruct", "--schedule", "4,2",
                 "--out", str(tmp_path / "x.json")]) == 2  # missing --measurements
     assert run([]) == 2
+
+
+def test_bad_schedule_is_an_argument_error(tmp_path, capsys):
+    assert run(["reconstruct", "--measurements", "x.json", "--schedule", "2,x",
+                "--out", str(tmp_path / "x.json")]) == 2
+    assert "--schedule" in capsys.readouterr().err
 
 
 def test_missing_input_file_exits_2(tmp_path):

@@ -10,7 +10,6 @@ from calderon3d.forward import (
     MeasurementSet,
     add_noise,
     forward_measure,
-    forward_measure_quadrature,
     oracle_measure,
 )
 from calderon3d.quadrature import BallQuadrature
@@ -178,33 +177,24 @@ def test_oracle_matches_series_on_a_random_field():
     assert worst < 1e-8
 
 
-def test_single_oracle_measurement_matches_batch():
-    rng = np.random.default_rng(27)
-    c = random_field(0, (2,), rng)
-    eta = field_as_eta(c)
-    batch = oracle_measure(eta, 1, 2, QUAD)
-    one = forward_measure_quadrature(eta, 1, 2, -1, QUAD)
-    assert one == batch.get(1, 2, -1)
-
-
 def test_oracle_of_zero_field_is_zero():
     zero = lambda x, y, z: np.zeros_like(x)
-    assert forward_measure_quadrature(zero, 0, 0, 0, QUAD) == 0
-    assert forward_measure_quadrature(zero, 2, 3, -2, QUAD) == 0
+    assert oracle_measure(zero, 0, 0, QUAD).get(0, 0, 0) == 0
+    assert oracle_measure(zero, 2, 3, QUAD).get(2, 3, -2) == 0
 
 
 def test_oracle_rejects_bad_form_and_shape():
     scalar = lambda x, y, z: 1.0
     with pytest.raises(ValueError):
-        forward_measure_quadrature(scalar, 0, 0, 0, QUAD)
+        oracle_measure(scalar, 0, 0, QUAD)
 
 
 def test_oracle_self_convergence_on_a_smooth_bump():
     def bump(x, y, z):
         return np.exp(-18.0 * ((x - 0.3) ** 2 + y**2 + (z - 0.55) ** 2))
 
-    coarse = forward_measure_quadrature(bump, 0, 0, 0, BallQuadrature(24, 32, 64))
-    fine = forward_measure_quadrature(bump, 0, 0, 0, QUAD)
+    coarse = oracle_measure(bump, 0, 0, BallQuadrature(24, 32, 64)).get(0, 0, 0)
+    fine = oracle_measure(bump, 0, 0, QUAD).get(0, 0, 0)
     assert fine == pytest.approx(coarse, abs=1e-9)
     assert abs(fine) > 1e-4  # a genuinely nonzero datum
 

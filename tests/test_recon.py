@@ -253,6 +253,19 @@ def test_missing_measurement_is_named():
     assert "k=1" in str(err.value) and "ell=2" in str(err.value) and "m=-1" in str(err.value)
 
 
+def test_missing_measurement_is_named_at_the_lowest_stage():
+    rng = np.random.default_rng(6)
+    caps = caps_for(1, 4)
+    ms = forward_measure(random_field(1, caps, rng), 1, caps)
+    values = dict(ms.values)
+    for key in [(0, 1, 0), (0, 3, 1), (1, 2, -1)]:
+        del values[ZernikeIndex(*key)]
+    with pytest.raises(MissingMeasurementError) as err:
+        reconstruct(MeasurementSet(values, 1, caps), TruncationSchedule(caps))
+    # stage 0 comes first, and within it ell descends
+    assert err.value.index == (0, 3, 1)
+
+
 def test_infeasible_schedule_is_rejected():
     rng = np.random.default_rng(7)
     c = random_field(1, (4, 4), rng)

@@ -261,6 +261,12 @@ def test_project_zero_field():
     assert all(abs(v) == 0.0 for v in field.entries.values())
 
 
+def test_project_rejects_a_field_of_the_wrong_shape():
+    # project samples like the oracle: the field must return the grid's shape
+    with pytest.raises(ValueError):
+        project(lambda x, y, z: 1.0, 0, 0, QUAD)
+
+
 def test_project_real_field_has_conjugate_symmetry():
     def eta(x, y, z):
         return np.exp(-3.0 * ((x - 0.2) ** 2 + y**2 + (z + 0.1) ** 2))
