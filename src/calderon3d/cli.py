@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from .forward import IncompleteSupportError, add_noise, forward_measure, oracle_measure
+from .forward import add_noise, forward_measure, oracle_measure
 from .phantoms import PHANTOM_NAMES, PhantomSpec
 from .quadrature import BallQuadrature
 from .recon import (
@@ -319,7 +319,7 @@ def main(argv=None) -> int:
     except MissingMeasurementError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING
-    except (IncompleteSupportError, ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:  # IncompleteSupportError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
 

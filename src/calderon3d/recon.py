@@ -34,10 +34,13 @@ built by ``coupling_operator`` and shared by ``forward.forward_measure``
 both in one (k, l, m) row order.  Each stage k is a rectangular table
 with values equal to ``big_q``: one table row per (q, s) in summation
 order, the divisor last.  ``CouplingStage.term_sum`` adds all the terms
-for the forward map and all but the divisor for the solve.  Each Gaunt
-factor is evaluated once per (k, l, s, |m|) rather than once per term.
-The operator is kept in a bounded cache keyed by the caps tuple; at the
-schedule (48, 44, ..., 20) it has 10,472 rows and 99,624 terms in 1.20 MB.
+for the forward map and all but the divisor for the solve.  The Gaunt
+factors of every stage come from one batched ``specfun.coupling_gaunts``
+call, one row per (k, s, l), and each serves every q of its (k, s).
+``big_q`` takes its Gaunt row from the same routine, so its values equal
+the operator's.  The operator is kept in a bounded cache keyed by the
+caps tuple; at the schedule (48, 44, ..., 20) it has 10,472 rows and
+99,624 terms in 1.20 MB.
 """
 
 from __future__ import annotations
@@ -119,10 +122,6 @@ class TruncationSchedule:
     def K(self) -> int:
         return len(self.caps) - 1
 
-    @classmethod
-    def from_string(cls, text: str) -> "TruncationSchedule":
-        return cls(tuple(int(p) for p in text.replace(" ", "").split(",") if p))
-
     def feasible(self) -> bool:
         return not validate_schedule(self)
 
@@ -171,7 +170,7 @@ def big_q(ell: int, s: int, k: int, m: int, q: int) -> float:
         raise ValueError(f"need 0 <= q <= k - s, got q={q}, k={k}, s={s}")
     if abs(m) > ell:
         raise ValueError(f"order out of range: |m|={abs(m)} > ell={ell}")
-    g = specfun.gaunt(k + 1, ell + k + 1, ell + 2 * s, 0, -m, m)
+    g = _gaunt_row(k, s, ell)[abs(m)]
     if g == 0.0:
         return 0.0
     sign = 1.0 if m % 2 else -1.0
@@ -246,15 +245,12 @@ def _frozen(values, dtype) -> np.ndarray:
     return arr
 
 
-def _stage_gaunts(k: int, s: int, cap: int) -> np.ndarray:
-    """G_{k+1, l+k+1, l+2s}^{0,-m,m} for every (ell <= cap, m), in row order."""
-    out = []
-    for ell in range(cap + 1):
-        # even in m: flipping both orders multiplies the 3j symbols by
-        # (-1)^(sum of degrees) = +1 and keeps the phase (-1)^m
-        half = [specfun.gaunt(k + 1, ell + k + 1, ell + 2 * s, 0, -m, m) for m in range(ell + 1)]
-        out.extend(half[:0:-1] + half)
-    return np.array(out)
+# bounded: big_q asks for one row at a time; operator builds never come here
+@lru_cache(maxsize=256)
+def _gaunt_row(k: int, s: int, ell: int) -> np.ndarray:
+    """G_{k+1, l+k+1, l+2s}^{0,-m,m} for m = 0..ell, equal to the operator's
+    values: a row does not depend on the batch it is computed in."""
+    return _frozen(specfun.coupling_gaunts([k], [s], [ell])[0], float)
 
 
 @lru_cache(maxsize=4)
@@ -283,13 +279,20 @@ def coupling_operator(caps: tuple) -> CouplingOperator:
         for ell in range(cap + 1)
         for m in range(-ell, ell + 1)
     )
+    # every Gaunt row of every stage, (k, s, ell) in order, in one batch
+    rows = [(k, s, ell) for k, cap in enumerate(caps) for s in range(k + 1) for ell in range(cap + 1)]
+    table = specfun.coupling_gaunts(*zip(*rows))
     stages = []
     start = 0
+    first_row = 0
     for k, cap in enumerate(caps):
         ell = np.repeat(np.arange(cap + 1), 2 * np.arange(cap + 1) + 1)
         m = np.arange(ell.size) - ell * (ell + 1)
         sign = np.where(m % 2 == 1, 1.0, -1.0)
-        gaunts = [_stage_gaunts(k, s, cap) for s in range(k + 1)]
+        # even in m: flipping both orders multiplies the 3j symbols by
+        # (-1)^(sum of degrees) = +1 and keeps the phase (-1)^m
+        gaunts = [table[first_row + s * (cap + 1) + ell, np.abs(m)] for s in range(k + 1)]
+        first_row += (k + 1) * (cap + 1)
 
         def term(q, s):
             """Column and value of the (q, s) term of every row, as in big_q."""

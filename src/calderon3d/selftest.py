@@ -9,7 +9,10 @@ The surface-gradient identity check integrates the left-hand side with
 sphere quadrature and evaluates the right-hand side through
 ``specfun.gaunt`` looked up at call time, so a corrupted Gaunt routine
 (wrong sign, wrong normalization) is caught here even if cached
-constants elsewhere still look plausible.
+constants elsewhere still look plausible.  The divisor-floor check
+compares the Gaunt factors that ``big_q`` takes from the fast
+extended-precision path with the exact ``specfun.gaunt``, also looked up
+at call time, and fails above 4 ulp.
 """
 
 from __future__ import annotations
@@ -25,7 +28,14 @@ from . import specfun
 from .forward import forward_measure, oracle_measure
 from .phantoms import PhantomSpec
 from .quadrature import BallQuadrature, SphereQuadrature
-from .recon import ScheduleViolation, TruncationSchedule, big_q, reconstruct, validate_schedule
+from .recon import (
+    ScheduleViolation,
+    TruncationSchedule,
+    _gaunt_row,
+    big_q,
+    reconstruct,
+    validate_schedule,
+)
 from .zernike import CoefficientField, basis_gram
 
 __all__ = ["CheckResult", "run_selftest"]
@@ -231,15 +241,20 @@ def _check_schedules():
 def _check_divisor_floor(lmax, kmax):
     floor = math.inf
     at = None
+    gap = 0.0
     for k in range(kmax + 1):
         for ell in range(lmax + 1):
+            row = _gaunt_row(k, 0, ell)
             for m in range(-ell, ell + 1):
                 v = abs(big_q(ell, 0, k, m, k))
                 if v < floor:
                     floor, at = v, (k, ell, m)
-    return floor > 0.0, (
+                exact = specfun.gaunt(k + 1, ell + k + 1, ell, 0, -m, m)
+                gap = max(gap, abs(row[abs(m)] - exact) / np.spacing(abs(exact)))
+    return floor > 0.0 and gap <= 4.0, (
         f"min |divisor| over l <= {lmax}, k <= {kmax} is {floor:.6e} at "
-        f"(k={at[0]}, ell={at[1]}, m={at[2]})"
+        f"(k={at[0]}, ell={at[1]}, m={at[2]}); its Gaunt factors are within "
+        f"{gap:.0f} ulp of the exact path (tol 4)"
     )
 
 

@@ -20,8 +20,14 @@ final square root is rounded to floating point.  Gaunt coefficients
                               * (l1 l2 l3; 0 0 0) * (l1 l2 l3; m1 m2 m3)
 
 are assembled from the same exact squares, so their relative accuracy
-stays near machine precision.  That matters: the reconstruction stage
-divides by Gaunt-bearing constants.
+stays near machine precision.  This exact path is the reference that the
+tests and the self-test check against.
+
+The coupling constants need only the family
+G_{k+1, l+k+1, l+2s}^{0,-m,m}.  ``coupling_gaunts`` evaluates it for a
+batch of rows at once by a three-term recurrence in the order, run in
+extended precision, and agrees with ``gaunt`` to a few ulp.  That matters:
+the reconstruction stage divides by Gaunt-bearing constants.
 """
 
 from __future__ import annotations
@@ -39,14 +45,16 @@ __all__ = [
     "wigner3j",
     "gaunt",
     "gaunt_selection",
+    "coupling_gaunts",
     "DEGREE_CAP",
     "POLE_GUARD",
 ]
 
-# Largest degree accepted by wigner3j and gaunt, and the largest kmax a
-# container or file header may declare.  Integer and Fraction arithmetic is
-# exact at any size; the cap bounds the cost of the exact Racah sums and
-# the allocations that a file header or a caps tuple can request.
+# Largest degree accepted by wigner3j, gaunt and coupling_gaunts, and the
+# largest kmax a container or file header may declare.  Integer and Fraction
+# arithmetic is exact at any size, and the recurrence of coupling_gaunts is
+# tested up to the cap; the cap bounds the allocations that a file header
+# or a caps tuple can request.
 DEGREE_CAP = 128
 
 # sin(theta) below this raises in sph_harm_surface_grad.  Gauss-Legendre
@@ -229,8 +237,20 @@ def _sqrt_fraction(fr: Fraction) -> float:
     return isqrt((n * d) << 240) / (d << 120)
 
 
-# bounded: inside an operator build the only reuse is the zero-order
-# symbol across consecutive m, so a few hundred entries catch every hit
+def _sqrt_fraction_wide(fr: Fraction) -> np.longdouble:
+    """sqrt of a positive exact rational, truncated to the 64-bit significand
+    of np.longdouble: within 2 of its ulps."""
+    n, d = fr.numerator, fr.denominator
+    shift = 64 + d.bit_length()
+    # sqrt(n/d) 2^shift >= 2^64 since n/d >= 1/d, so no bit is lost here
+    q = isqrt((n * d) << (2 * shift)) // d
+    drop = q.bit_length() - 64
+    return np.ldexp(np.longdouble(q >> drop), drop - shift)
+
+
+# bounded: only the exact path (the tests' oracle and the self-test) comes
+# here, never an operator build; its one reuse is the zero-order symbol
+# across consecutive m in gaunt, so a few hundred entries catch every hit
 @lru_cache(maxsize=256)
 def _w3j_signed_square(j1: int, j2: int, j3: int, m1: int, m2: int, m3: int):
     """Sign and exact square of a 3j symbol, selection rules already checked.
@@ -263,6 +283,101 @@ def _w3j_signed_square(j1: int, j2: int, j3: int, m1: int, m2: int, m3: int):
         pref *= factorial(j + m) * factorial(j - m)
     sign = 1 if ssum > 0 else -1
     return sign, pref * ssum * ssum
+
+
+def _w3j_zero_square(j1: int, j2: int, j3: int, fact) -> Fraction:
+    """Exact square of (j1 j2 j3; 0 0 0) for an even degree sum J = 2g that
+    passes the triangle: (J-2j1)! (J-2j2)! (J-2j3)! / (J+1)! times
+    (g! / ((g-j1)! (g-j2)! (g-j3)!))^2, with fact[n] = n!."""
+    J = j1 + j2 + j3
+    g = J // 2
+    top = fact[g]
+    bottom = fact[g - j1] * fact[g - j2] * fact[g - j3]
+    return Fraction(
+        fact[J - 2 * j1] * fact[J - 2 * j2] * fact[J - 2 * j3] * top * top,
+        fact[J + 1] * bottom * bottom,
+    )
+
+
+def coupling_gaunts(k, s, ell) -> np.ndarray:
+    """G_{k+1, l+k+1, l+2s}^{0,-m,m} for m = 0..ell, one row per (k, s, ell).
+
+    ``k``, ``s`` and ``ell`` are equal-length integer sequences.  Returns a
+    (rows, max(ell) + 1) array, zero past each row's own ell.  This is the
+    only Gaunt family the coupling constants use; the value at -m equals
+    the value at m.
+
+    With f(m) = (j1 j2 j3; 0, -m, m), j1 = k+1, j2 = l+k+1, j3 = l+2s, the
+    3j symbols obey the Schulten-Gordon recurrence in the order
+    (J. Math. Phys. 16:1961, 1975)
+
+        A(m) f(m-1) + B(m) f(m) + C(m) f(m+1) = 0,
+        A(m) = sqrt((j2+m)(j2-m+1)(j3+m)(j3-m+1)),
+        B(m) = j2(j2+1) + j3(j3+1) - j1(j1+1) - 2m^2,
+        C(m) = sqrt((j2-m)(j2+m+1)(j3-m)(j3+m+1)).
+
+    It runs downward from f(min(j2, j3)) = 1, with zero above, in
+    extended precision (np.longdouble), where it is stable; upward from
+    m = 0 it is not.  Each row is normalised by its m = 0 value,
+
+        G(m) = sqrt((2j1+1)(2j2+1)(2j3+1)) (j1 j2 j3; 0 0 0)^2 f(m) / f(0) / sqrt(4 pi),
+
+    with the prefactor's square taken exactly from the zero-order closed
+    form.  The product is rounded to double once and then divided by
+    sqrt(4 pi), as ``gaunt`` rounds, so about 99 % of the entries at the
+    schedule (48, 44, ..., 20) equal ``gaunt`` bit for bit.  The rest agree
+    to a few ulp, or to a few eps times the row's largest entry near the
+    order's accidental zeros, where ``gaunt`` returns an exact 0.  Every
+    step is elementwise, so a row's values do not depend on the other rows
+    of the batch.  This needs a 64-bit significand for np.longdouble; with
+    a plain double the recurrence loses about 10^4 ulp at that schedule.
+
+    Raises
+    ------
+    ValueError
+        If some ell or k is negative or s lies outside 0..k+1 (the triangle).
+    OverflowError
+        If any degree exceeds DEGREE_CAP.
+    """
+    k, s, ell = (np.asarray(v, dtype=np.int64).reshape(-1) for v in (k, s, ell))
+    j1, j2, j3 = k + 1, ell + k + 1, ell + 2 * s
+    if (k < 0).any() or (ell < 0).any() or (s < 0).any() or (s > j1).any():
+        raise ValueError("need k >= 0, ell >= 0 and 0 <= s <= k + 1")
+    if int(max(j2.max(), j3.max())) > DEGREE_CAP:
+        raise OverflowError(f"Gaunt degree exceeds cap {DEGREE_CAP}")
+
+    fact = [1]
+    for n in range(1, int((j1 + j2 + j3).max()) + 2):
+        fact.append(fact[-1] * n)
+    # sqrt((2j1+1)(2j2+1)(2j3+1)) (j1 j2 j3; 0 0 0)^2 per row, to 64 bits
+    pref = []
+    for d1, d2, d3 in zip(j1.tolist(), j2.tolist(), j3.tolist()):
+        zero = _w3j_zero_square(d1, d2, d3, fact)
+        pref.append(_sqrt_fraction_wide(zero**2 * ((2 * d1 + 1) * (2 * d2 + 1) * (2 * d3 + 1))))
+    pref = np.array(pref)
+
+    # f(m) for every order (axis 0) and row (axis 1), downward from each row's top
+    top = np.minimum(j2, j3)
+    base = (j2 * (j2 + 1) + j3 * (j3 + 1) - j1 * (j1 + 1)).astype(np.longdouble)
+    f = np.zeros((int(top.max()) + 2, ell.size), dtype=np.longdouble)
+    f[top, np.arange(ell.size)] = 1
+    c = np.zeros(ell.size, dtype=np.longdouble)  # C(m); f(m+1) = 0 at the first step
+    for m in range(int(top.max()), 0, -1):
+        live = m <= top  # rows whose recurrence has started
+        # A(m), which is also C(m-1); the integer radicand is exact in int64
+        radicand = (j2 + m) * (j2 - m + 1) * (j3 + m) * (j3 - m + 1)
+        a = np.sqrt(np.maximum(radicand, 0).astype(np.longdouble))
+        step = -((base - 2 * m * m) * f[m] + c * f[m + 1]) / np.where(live, a, 1)
+        f[m - 1] = np.where(live, step, f[m - 1])
+        c = a
+
+    width = int(ell.max()) + 1
+    ratio = f[:width] / f[0]
+    ratio *= pref
+    out = ratio.T.astype(float, order="C")
+    out /= math.sqrt(4.0 * math.pi)
+    out[np.arange(width) > ell[:, None]] = 0.0
+    return out
 
 
 def _triangle_ok(j1: int, j2: int, j3: int) -> bool:

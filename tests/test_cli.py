@@ -416,6 +416,14 @@ def test_argparse_errors_exit_2(tmp_path):
     assert run([]) == 2
 
 
+def test_schedule_parses_a_spaced_comma_list():
+    args = cli.build_parser().parse_args(
+        ["reconstruct", "--measurements", "m.json", "--schedule", "14, 12,10", "--out", "r.json"]
+    )
+    assert args.schedule == (14, 12, 10)
+    assert cli._parse_ints("14, 12,10") == (14, 12, 10)
+
+
 def test_bad_schedule_is_an_argument_error(tmp_path, capsys):
     assert run(["reconstruct", "--measurements", "x.json", "--schedule", "2,x",
                 "--out", str(tmp_path / "x.json")]) == 2

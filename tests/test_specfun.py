@@ -15,6 +15,7 @@ from calderon3d.specfun import (
     DEGREE_CAP,
     _norm_legendre_degrees,
     _norm_legendre_sweep,
+    coupling_gaunts,
     gaunt,
     gaunt_selection,
     sph_harm,
@@ -367,3 +368,67 @@ def test_lemma_surface_gradient_identity():
         l1, l2, l3 = (int(e) for e in ells)
         coeff = (l1 * (l1 + 1) + l2 * (l2 + 1) - l3 * (l3 + 1)) / 2
         assert lhs == pytest.approx(coeff * triple, abs=1e-8)
+
+
+# ---------------------------------------------- the coupling Gaunt family
+
+EPS = np.finfo(float).eps
+
+
+def _family_rows(caps):
+    return [(k, s, ell) for k, cap in enumerate(caps) for s in range(k + 1) for ell in range(cap + 1)]
+
+
+def _family_errors(table, i, k, s, ell):
+    """Row i of ``table`` against the exact path: the largest error in ulps
+    of the exact value where it is nonzero, and the largest error in units
+    of eps times the row's largest exact entry."""
+    exact = np.array([gaunt(k + 1, ell + k + 1, ell + 2 * s, 0, -m, m) for m in range(ell + 1)])
+    assert np.all(table[i, ell + 1 :] == 0.0)
+    err = np.abs(table[i, : ell + 1] - exact)
+    nonzero = exact != 0.0
+    ulps = float(np.max(err[nonzero] / np.spacing(np.abs(exact[nonzero])), initial=0.0))
+    return ulps, float(err.max() / (EPS * np.abs(exact).max()))
+
+
+def test_extended_precision_is_available():
+    # the coupling family's recurrence needs a 64-bit significand
+    assert np.finfo(np.longdouble).nmant >= 63
+
+
+@pytest.mark.parametrize(
+    "caps", [(48, 44, 40, 36, 32, 28, 24, 20), (20,) * 9], ids=["schedule_L", "ell20_k8"]
+)
+def test_coupling_gaunts_match_the_exact_path_exhaustively(caps):
+    rows = _family_rows(caps)
+    table = coupling_gaunts(*zip(*rows))
+    worst_ulps = worst_row = 0.0
+    for i, row in enumerate(rows):
+        ulps, rel_row = _family_errors(table, i, *row)
+        worst_ulps, worst_row = max(worst_ulps, ulps), max(worst_row, rel_row)
+    assert worst_ulps <= 4.0
+    assert worst_row <= 4.0
+
+
+@pytest.mark.parametrize(
+    "caps", [(126, 124, 122, 120), tuple(range(66, 47, -2))], ids=["cap126", "cap66_k9"]
+)
+def test_coupling_gaunts_stay_within_a_few_eps_of_the_row_max_past_l(caps):
+    rows = _family_rows(caps)
+    table = coupling_gaunts(*zip(*rows))
+    rng = np.random.default_rng(909)
+    for i in rng.choice(len(rows), size=40, replace=False):
+        k, s, ell = rows[i]
+        assert _family_errors(table, i, k, s, ell)[1] <= 4.0
+        # a row does not depend on the rest of its batch
+        assert np.array_equal(coupling_gaunts([k], [s], [ell])[0], table[i, : ell + 1])
+
+
+def test_coupling_gaunts_reject_bad_rows():
+    assert coupling_gaunts([0], [0], [0])[0, 0] == gaunt(1, 1, 0, 0, 0, 0)
+    with pytest.raises(ValueError):
+        coupling_gaunts([1], [3], [4])  # s > k + 1 breaks the triangle
+    with pytest.raises(ValueError):
+        coupling_gaunts([0], [0], [-1])
+    with pytest.raises(OverflowError):
+        coupling_gaunts([0], [0], [DEGREE_CAP])
