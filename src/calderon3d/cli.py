@@ -217,7 +217,8 @@ def cmd_slice(args) -> int:
     n = args.resolution
     if n < 2:
         raise ValueError("resolution must be at least 2")
-    mode = "full" if args.partial_sum is None else args.partial_sum
+    # the slice is real: the partial sum up to kmax is the real part of the full sum
+    mode = field.kmax if args.partial_sum is None else args.partial_sum
     u = np.linspace(-1.0, 1.0, n)
     uu, vv = np.meshgrid(u, u, indexing="ij")
     flat = np.full(n * n, offset)
@@ -226,7 +227,7 @@ def cmd_slice(args) -> int:
     x, y, z = (a.copy() for a in planes[axis])
     inside = x * x + y * y + z * z <= 1.0
     values = np.full(n * n, np.nan)
-    values[inside] = synthesize_xyz(field, x[inside], y[inside], z[inside], mode=mode).real
+    values[inside] = synthesize_xyz(field, x[inside], y[inside], z[inside], mode=mode)
     gs = GridSlice(
         axis=axis,
         offset=offset,

@@ -48,7 +48,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
@@ -186,7 +185,8 @@ def _order_free_factor(ell: int, s: int, k: int, q: int) -> float:
     den = (k + 1) * (ell + k + 1)
     for i in range(q):
         den *= 2 * (ell + k + s) + 5 + 2 * i
-    return math.sqrt(2 * ell + 4 * q + 4 * s + 3) * float(Fraction(num, den))
+    # int true division is correctly rounded, as float(Fraction(num, den)) is
+    return math.sqrt(2 * ell + 4 * q + 4 * s + 3) * (num / den)
 
 
 @dataclass(frozen=True, eq=False)

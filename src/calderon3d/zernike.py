@@ -41,8 +41,13 @@ R_l^k(r), k = 0..K, gives all orders' radial profiles at once.  The
 profiles are multiplied by the normalized Legendre rows P~_l^{|m|}(cos
 theta), which the recurrence derives from the previous two degrees, and
 summed into one amplitude per order pair +-m; the azimuthal factor comes
-last.  Scattered points are taken in fixed-size blocks, so no table over
-all points or all degrees is kept.
+last.  Everything before that factor depends on (r, theta) only, so
+scattered points run it once per distinct (r, theta) pair, a ring, and
+each point gathers its ring's amplitudes: a plane z = const or a
+spherical grid puts many points on one ring.  Rings and points are
+taken in fixed-size blocks, so no table over all points or all degrees
+is kept.  A real output (a partial sum) builds only the half of each
+degree's matrix that feeds the real part.
 """
 
 from __future__ import annotations
@@ -187,8 +192,9 @@ def chi(ell: int, p: int, q: int) -> float:
     den = 2 * ell + 2 * p + 3
     for i in range(q):
         den *= 2 * (ell + p) + 5 + 2 * i
-    # the factors of 2 in num cancel the half-integer denominators
-    return math.sqrt(2 * ell + 4 * q + 3) * float(Fraction(num, den))
+    # the factors of 2 in num cancel the half-integer denominators; int true
+    # division is correctly rounded, as float(Fraction(num, den)) is
+    return math.sqrt(2 * ell + 4 * q + 3) * (num / den)
 
 
 def psi_eval(k: int, ell: int, m: int, r, theta, phi):
@@ -355,22 +361,25 @@ def project(eta, kmax: int, degree_caps, quad: BallQuadrature | None = None) -> 
     return CoefficientField(entries, kmax, caps, certified=False)
 
 
-# Points per synthesis block.  The working set of ``synthesize`` is a few
-# (lmax + 1) x _BLOCK arrays, so it does not grow with the point count.
+# Rings (distinct (r, theta) pairs) and points per synthesis block.  The
+# working set of ``synthesize`` is a few (lmax + 1) x _BLOCK arrays, so it
+# does not grow with the point count.
 _BLOCK = 2048
 
 
 def _degree_matrices(c: CoefficientField, mode) -> dict:
     """The stored coefficients of each degree as one real matrix.
 
-    Returns {ell: M} with M of shape (4 (ell + 1), K + 1), columns
+    Returns {ell: M} with M of shape (B (ell + 1), K + 1), columns
     k = 0..K (K the largest stored k at that degree).  With a_m the
     signed coefficient s_m c_l^{k,m} (s_m the negative-order sign), the
     row blocks are Re S, Im S, Re D, Im D over mu = 0..ell, where
     S = a_mu + a_{-mu} and D = a_mu - a_{-mu} for mu > 0, and S = a_0,
     D = 0 for mu = 0.  Orders m and -m share the Legendre row P~_l^mu, so
     the pair enters the sum as S cos(mu phi) + i D sin(mu phi).  ``mode`` is
-    "full" or a nonnegative integer K that keeps the entries with k <= K.
+    "full" (B = 4) or a nonnegative integer K that keeps the entries with
+    k <= K and only the blocks Re S and Im D (B = 2), the ones the real
+    part of the sum reads.
     """
     if mode != "full" and (
         isinstance(mode, bool) or not isinstance(mode, (int, np.integer)) or mode < 0
@@ -387,10 +396,13 @@ def _degree_matrices(c: CoefficientField, mode) -> dict:
     for part, weight in ((0, 1.0), (1, np.sign(m))):
         np.add.at(packed, (ell, part, 0, mu, k), weight * val.real)
         np.add.at(packed, (ell, part, 1, mu, k), weight * val.imag)
+    packed = packed.reshape(ell.max() + 1, 4, ell.max() + 1, k.max() + 1)
+    if mode != "full":
+        packed = packed[:, [0, 3]]
     top = np.full(ell.max() + 1, -1)
     np.maximum.at(top, ell, k)
     return {
-        d: packed[d, :, :, : d + 1, : top[d] + 1].reshape(4 * (d + 1), -1)
+        d: packed[d, :, : d + 1, : top[d] + 1].reshape(-1, top[d] + 1)
         for d in np.flatnonzero(top >= 0).tolist()
     }
 
@@ -400,8 +412,8 @@ def _degrees(mats: dict, r: np.ndarray, x: np.ndarray):
 
     Yields ``(ell, profiles, rows)`` for every degree in ``mats`` (from
     ``_degree_matrices``), ascending.  ``profiles`` has shape
-    (4, ell + 1, len(r)) and holds the radial profiles sum_k M[., k] R_l^k(r)
-    of the four row blocks of M, from one GEMM; ``rows[mu]`` is
+    (B, ell + 1, len(r)) and holds the radial profiles sum_k M[., k] R_l^k(r)
+    of the B row blocks of M, from one GEMM; ``rows[mu]`` is
     P~_l^mu(x), mu = 0..ell.  Only the current degree's profiles and the
     Legendre recurrence's last two degrees are alive.
     """
@@ -411,7 +423,34 @@ def _degrees(mats: dict, r: np.ndarray, x: np.ndarray):
         mat = mats.get(ell)
         if mat is not None:
             profiles = mat @ _radial_zernike_rows(ell, mat.shape[1] - 1, r)
-            yield ell, profiles.reshape(4, ell + 1, -1), rows
+            yield ell, profiles.reshape(-1, ell + 1, len(r)), rows
+
+
+def _amplitudes(mats: dict, r: np.ndarray, x: np.ndarray, amp: np.ndarray) -> None:
+    """Write into ``amp`` everything of the sum but the azimuthal factor, at
+    radii ``r`` and polar cosines ``x``: amp[b, mu] sums, over the degrees,
+    row block b of the radial profiles times P~_l^mu(x)."""
+    amp[...] = 0.0
+    for ell, profiles, rows in _degrees(mats, r, x):
+        profiles *= rows
+        amp[:, : ell + 1] += profiles
+
+
+def _rings(r: np.ndarray, theta: np.ndarray):
+    """The distinct (r, theta) pairs of a point set.
+
+    Returns ``(order, ring, start)``: ``order`` lists the points grouped
+    by pair (a stable sort on r, then theta), ``ring[j]`` is the pair
+    index of point ``order[j]``, and ``start[i]`` is the position in
+    ``order`` of pair i's first point.  Pair i sits at r[order[start[i]]],
+    theta[order[start[i]]].  A NaN equals nothing, so it is a pair of its own.
+    """
+    order = np.lexsort((theta, r))
+    rs, ts = r[order], theta[order]
+    first = np.ones(order.size, dtype=bool)
+    np.not_equal(rs[1:], rs[:-1], out=first[1:])
+    first[1:] |= ts[1:] != ts[:-1]
+    return order, np.cumsum(first) - 1, np.flatnonzero(first)
 
 
 def synthesize(c: CoefficientField, r, theta, phi, mode="full"):
@@ -422,11 +461,15 @@ def synthesize(c: CoefficientField, r, theta, phi, mode="full"):
     k <= K (the partial-sum field omega_K).  Anything else raises
     ValueError.
 
-    The points are taken in blocks of ``_BLOCK``.  Per block, every
-    degree multiplies its radial profiles by its Legendre rows and adds
-    them into one amplitude per order pair +-mu; cos(mu phi) and
-    sin(mu phi) are applied once at the end.  Memory stays bounded for
-    any number of points.
+    Only the azimuthal factor depends on phi, so the rest runs once per
+    distinct (r, theta) pair, or ring, not once per point.  The rings
+    are taken in blocks of ``_BLOCK``: per block, every degree multiplies
+    its radial profiles by its Legendre rows and adds them into one
+    amplitude per order pair +-mu.  The points of the block's rings then
+    gather their ring's amplitudes, ``_BLOCK`` points at a time, and
+    apply cos(mu phi) and sin(mu phi).  Points on distinct rings are the
+    case of one point per ring.  Besides the output and a few index
+    arrays over the points, memory stays bounded for any number of points.
     """
     mats = _degree_matrices(c, mode)
     r_a, th_a, ph_a = np.broadcast_arrays(
@@ -435,20 +478,35 @@ def synthesize(c: CoefficientField, r, theta, phi, mode="full"):
     scalar, shape = r_a.ndim == 0, r_a.shape
     rf, tf, pf = r_a.ravel(), th_a.ravel(), ph_a.ravel()
     lmax = max(mats, default=0)
-    out = np.empty(rf.shape, dtype=complex)
-    for lo in range(0, rf.size, _BLOCK):
-        blk = slice(lo, lo + _BLOCK)
-        amp = np.zeros((4, lmax + 1, len(rf[blk])))
-        for ell, profiles, rows in _degrees(mats, rf[blk], np.cos(tf[blk])):
-            profiles *= rows
-            amp[:, : ell + 1] += profiles
-        mu_phi = np.multiply.outer(np.arange(lmax + 1), pf[blk])
-        cos, sin = np.cos(mu_phi), np.sin(mu_phi)
-        out.real[blk] = np.einsum("mn,mn->n", amp[0], cos) - np.einsum("mn,mn->n", amp[3], sin)
-        out.imag[blk] = np.einsum("mn,mn->n", amp[1], cos) + np.einsum("mn,mn->n", amp[2], sin)
-
-    if mode != "full":
-        out = out.real
+    out = np.empty(rf.shape, dtype=complex if mode == "full" else float)
+    order, ring, start = _rings(rf, tf)
+    start = np.append(start, order.size)
+    n_rings = start.size - 1
+    # one amplitude buffer serves every ring block, so the heap keeps its
+    # shape from block to block; regrowing it costs a page fault per page
+    amp_all = np.empty((4 if mode == "full" else 2, lmax + 1, max(min(n_rings, _BLOCK), 2)))
+    for lo in range(0, n_rings, _BLOCK):
+        hi = min(lo + _BLOCK, n_rings)
+        # A lone ring or point would take BLAS's matrix-vector route and
+        # numpy's strided reduction, which round differently from a block;
+        # repeated once, it makes two columns and rounds as inside a block.
+        at = np.resize(order[start[lo:hi]], max(hi - lo, 2))
+        amp = amp_all[:, :, : at.size]
+        _amplitudes(mats, rf[at], np.cos(tf[at]), amp)
+        for first in range(start[lo], start[hi], _BLOCK):
+            pts = slice(first, min(first + _BLOCK, start[hi]))
+            width = max(pts.stop - pts.start, 2)
+            idx = np.resize(order[pts], width)
+            a = np.take(amp, np.resize(ring[pts] - lo, width), axis=2)
+            mu_phi = np.multiply.outer(np.arange(lmax + 1), pf[idx])
+            cos, sin = np.cos(mu_phi), np.sin(mu_phi)
+            # out.real is out itself for a real output
+            out.real[idx] = np.einsum("mn,mn->n", a[0], cos) - np.einsum("mn,mn->n", a[-1], sin)
+            if mode == "full":
+                out.imag[idx] = np.einsum("mn,mn->n", a[1], cos) + np.einsum("mn,mn->n", a[2], sin)
+        # every ring has a point, so these are bound; freed now, they neither
+        # raise the next ring stage's peak nor make it regrow the heap
+        del a, mu_phi, cos, sin
     return out.item() if scalar else out.reshape(shape)
 
 
@@ -473,18 +531,18 @@ def synthesize_ball_grid(c: CoefficientField, quad: BallQuadrature, mode="full")
     """
     mats = _degree_matrices(c, mode)
     lmax = max(mats, default=0)
-    profiles_by_ell = np.zeros((4, lmax + 1, quad.n_r, lmax + 1))
+    profiles_by_ell = np.zeros((4 if mode == "full" else 2, lmax + 1, quad.n_r, lmax + 1))
     rows_by_ell = np.zeros((lmax + 1, lmax + 1, quad.n_theta))
     for ell, profiles, rows in _degrees(mats, quad.r, np.cos(quad.theta)):
         profiles_by_ell[:, : ell + 1, :, ell] = profiles
         rows_by_ell[: ell + 1, ell] = rows
-    amp = profiles_by_ell @ rows_by_ell  # (4, lmax + 1, n_r, n_theta)
+    amp = profiles_by_ell @ rows_by_ell  # (B, lmax + 1, n_r, n_theta)
     mu_phi = np.multiply.outer(np.arange(lmax + 1), quad.phi)
-    pairs = np.concatenate([amp[0] + 1j * amp[1], 1j * amp[2] - amp[3]])
-    out = np.tensordot(pairs, np.concatenate([np.cos(mu_phi), np.sin(mu_phi)]), axes=(0, 0))
-    if mode != "full":
-        return out.real
-    return out
+    if mode == "full":
+        pairs = np.concatenate([amp[0] + 1j * amp[1], 1j * amp[2] - amp[3]])
+    else:
+        pairs = np.concatenate([amp[0], -amp[1]])
+    return np.tensordot(pairs, np.concatenate([np.cos(mu_phi), np.sin(mu_phi)]), axes=(0, 0))
 
 
 def basis_gram(quad: BallQuadrature, degree_cap: int):

@@ -4,6 +4,9 @@ The tests check the package against these.  None of them is used at
 run time, so they live here rather than in ``calderon3d``.
 """
 
+import math
+from fractions import Fraction
+
 import numpy as np
 
 from calderon3d import specfun
@@ -34,6 +37,30 @@ def big_d(ell: int, s: int, k: int, m: int) -> float:
 def big_q_factored(ell: int, s: int, k: int, m: int, q: int) -> float:
     """Series coupling Q_{l,s}^{k,m,q} as chi_{l+2s}^{k-s,q} D_{l,s}^{k,m}."""
     return chi(ell + 2 * s, k - s, q) * big_d(ell, s, k, m)
+
+
+def _rising(a, n: int):
+    """Pochhammer symbol (a)_n = a (a+1) ... (a+n-1)."""
+    return math.prod((a + i for i in range(n)), start=Fraction(1))
+
+
+def chi_fraction(ell: int, p: int, q: int) -> float:
+    """chi_l^{p,q} from its defining ratio in exact rationals, rounded once:
+    sqrt(2l+4q+3) (p-q+1)_q / ((2l+2p+3) (l+p+5/2)_q)."""
+    ratio = _rising(p - q + 1, q) / (
+        (2 * ell + 2 * p + 3) * _rising(Fraction(2 * ell + 2 * p + 5, 2), q)
+    )
+    return math.sqrt(2 * ell + 4 * q + 3) * float(ratio)
+
+
+def order_free_factor_fraction(ell: int, s: int, k: int, q: int) -> float:
+    """The m- and Gaunt-free part of Q_{l,s}^{k,m,q} in exact rationals,
+    rounded once: sqrt(2l+4q+4s+3) (k-s+1) (k-q-s+1)_q /
+    ((k+1)(l+k+1) (l+k+s+5/2)_q)."""
+    ratio = (k - s + 1) * _rising(k - q - s + 1, q) / (
+        (k + 1) * (ell + k + 1) * _rising(Fraction(2 * (ell + k + s) + 5, 2), q)
+    )
+    return math.sqrt(2 * ell + 4 * q + 4 * s + 3) * float(ratio)
 
 
 def assoc_legendre(ell: int, m: int, x):

@@ -24,7 +24,7 @@ from calderon3d.recon import (
 )
 from calderon3d.zernike import CoefficientField, ZernikeIndex
 
-from reference import big_d, big_q_factored, tau_expanded
+from reference import big_d, big_q_factored, order_free_factor_fraction, tau_expanded
 
 
 def random_field(kmax, caps, rng, real_sym=False):
@@ -341,6 +341,16 @@ def test_cold_operator_build_uses_no_exact_3j_sums():
     before = specfun._w3j_signed_square.cache_info().misses
     coupling_operator((48, 44, 40, 36, 32, 28, 24, 20))
     assert specfun._w3j_signed_square.cache_info().misses == before
+
+
+def test_order_free_factor_equals_its_rational_form():
+    # exhaustive over kmax <= 11 and every degree up to DEGREE_CAP
+    for k in range(12):
+        for s in range(k + 1):
+            for q in range(k - s + 1):
+                for ell in range(specfun.DEGREE_CAP + 1):
+                    want = order_free_factor_fraction(ell, s, k, q)
+                    assert recon._order_free_factor(ell, s, k, q) == want, (ell, s, k, q)
 
 
 def test_operator_entries_equal_big_q():

@@ -25,6 +25,8 @@ from calderon3d.zernike import (
     synthesize_xyz,
 )
 
+from reference import chi_fraction
+
 QUAD = BallQuadrature()
 RNG = np.random.default_rng(414243)
 
@@ -146,6 +148,14 @@ def test_chi_frozen_values():
     assert chi(4, 2, 2) == pytest.approx(0.0071973563567235064, rel=1e-14)
     assert chi(1, 5, 3) == pytest.approx(0.0194514786996558, rel=1e-14)
     assert chi(10, 6, 0) == pytest.approx(0.1370237578089348, rel=1e-14)
+
+
+def test_chi_equals_its_rational_form():
+    # every (ell, p, q) a coupling operator with kmax <= 11 at DEGREE_CAP reads
+    for p in range(12):
+        for q in range(p + 1):
+            for ell in range(DEGREE_CAP + 2 * 11 + 1):
+                assert chi(ell, p, q) == chi_fraction(ell, p, q), (ell, p, q)
 
 
 def test_chi_is_radial_inner_product():
@@ -445,6 +455,112 @@ def test_synthesis_working_memory_is_bounded_in_the_point_count():
 
     output_growth = 50_000 * np.dtype(complex).itemsize
     assert peak(100_000) - peak(50_000) <= 8 * output_growth
+
+
+def ring_points(rng, n_rings, n):
+    """``n`` points on ``n_rings`` random (r, theta) rings, each ring hit at
+    least once, at random azimuths."""
+    r = rng.uniform(0, 1, n_rings)
+    th = rng.uniform(0, math.pi, n_rings)
+    pick = np.concatenate([np.arange(n_rings), rng.integers(0, n_rings, n - n_rings)])
+    return r[pick], th[pick], rng.uniform(0, 2 * math.pi, n)
+
+
+def test_a_points_value_does_not_depend_on_its_batch():
+    # more rings and points than one block.  The caps keep every per-degree
+    # GEMM small: past about 10^6 multiply-adds BLAS may round a block's last
+    # columns apart from the same columns inside a full block, and a subset
+    # moves rings across block boundaries.
+    rng = np.random.default_rng(2024)
+    field = random_field(2, (12, 10, 8), rng)
+    r, th, ph = ring_points(rng, zernike._BLOCK + 500, 2 * zernike._BLOCK + 900)
+    n = r.size
+    for mode in ("full", 1):
+        ref = synthesize(field, r, th, ph, mode=mode)
+        perm = rng.permutation(n)
+        assert np.array_equal(synthesize(field, r[perm], th[perm], ph[perm], mode=mode), ref[perm])
+        dup = np.concatenate([np.arange(n), rng.integers(0, n, 700)])
+        assert np.array_equal(synthesize(field, r[dup], th[dup], ph[dup], mode=mode), ref[dup])
+        for size in (1, 2, 3, 257, n // 2):
+            sub = rng.choice(n, size, replace=False)
+            got = synthesize(field, r[sub], th[sub], ph[sub], mode=mode)
+            assert np.array_equal(got, ref[sub]), (mode, size)
+        for i in rng.choice(n, 3, replace=False):
+            assert synthesize(field, r[i], th[i], ph[i], mode=mode) == ref[i]
+
+
+def test_ring_stage_runs_once_per_distinct_ring(monkeypatch):
+    received = []
+    degrees = zernike._degrees
+
+    def counting(mats, r, x):
+        received.append(len(r))
+        return degrees(mats, r, x)
+
+    monkeypatch.setattr(zernike, "_degrees", counting)
+    field = random_field(1, (6, 4), np.random.default_rng(64))
+    quad = BallQuadrature(n_r=7, n_theta=9, n_phi=20)
+    th, ph = (np.broadcast_to(a, (7, 9, 20)) for a in quad.sphere.grid())
+    synthesize(field, quad.r[:, None, None], th, ph)
+    assert sum(received) == quad.n_r * quad.n_theta
+
+    # the z = 0 plane of a 201^2 slice, as `calderon3d slice` samples it
+    u = np.linspace(-1.0, 1.0, 201)
+    x, y = np.meshgrid(u, u, indexing="ij")
+    inside = x * x + y * y <= 1.0
+    x, y, z = x[inside], y[inside], np.zeros(int(inside.sum()))
+    r, th, _ = zernike._spherical_from_cartesian(x, y, z)
+    received.clear()
+    synthesize_xyz(field, x, y, z)
+    rings = len(set(zip(r.tolist(), th.tolist())))
+    print(f"z = 0 slice: {x.size} points on {rings} rings")
+    assert sum(received) == rings < x.size // 5
+
+
+def test_ring_heavy_synthesis_keeps_working_memory_bounded():
+    # every point lies on one of 64 rings: gathering the ring amplitudes
+    # per point must not build a table over every point
+    field = random_field(2, (20, 16, 12), np.random.default_rng(201612))
+    rng = np.random.default_rng(8)
+    ring_r, ring_th = rng.uniform(0, 1, 64), rng.uniform(0, math.pi, 64)
+
+    def peak(n):
+        pick = rng.integers(0, 64, n)
+        r, th, ph = ring_r[pick], ring_th[pick], rng.uniform(0, 2 * math.pi, n)
+        tracemalloc.start()
+        try:
+            synthesize(field, r, th, ph)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    output_growth = 50_000 * np.dtype(complex).itemsize
+    assert peak(100_000) - peak(50_000) <= 8 * output_growth
+
+
+def test_bad_points_raise_or_give_nan():
+    rng = np.random.default_rng(99)
+    field = random_field(1, (5, 3), rng)
+    r, th, ph = ring_points(rng, 40, 200)
+    ref = synthesize(field, r, th, ph)
+    # a radius outside [0, 1] raises, wherever it sits among the rings
+    for bad in (1.0 + 1e-12, 2.0, -0.5):
+        for at in (0, 100, 200):
+            with pytest.raises(ValueError, match="radius out of domain"):
+                synthesize(field, np.insert(r, at, bad), np.insert(th, at, 0.3),
+                           np.insert(ph, at, 0.1))
+    with pytest.raises(ValueError, match="radius out of domain"):
+        synthesize_xyz(field, [0.1, 0.9], [0.0, 0.9], [0.0, 0.0])
+    # a NaN coordinate gives NaN at its own point only, also on a shared ring
+    r2, th2, ph2 = r.copy(), th.copy(), ph.copy()
+    r2[0], th2[1], ph2[40] = np.nan, np.nan, np.nan  # point 40 shares an earlier point's ring
+    got = synthesize(field, r2, th2, ph2)
+    bad = np.zeros(r.size, dtype=bool)
+    bad[[0, 1, 40]] = True
+    assert np.all(np.isnan(got[bad]))
+    assert np.array_equal(got[~bad], ref[~bad])
+    xyz = synthesize_xyz(field, [0.1, np.nan, 0.2], [0.2, 0.1, np.nan], [0.3, 0.3, 0.3])
+    assert np.isfinite(xyz[0]) and np.all(np.isnan(xyz[1:]))
 
 
 def test_synthesize_mode_validation():
