@@ -37,7 +37,14 @@ import numpy as np
 from . import specfun
 from .quadrature import BallQuadrature
 from .recon import coupling_operator
-from .zernike import CoefficientField, ZernikeIndex, _azimuthal_transform, _sample_on_ball, as_caps
+from .zernike import (
+    CoefficientField,
+    _azimuthal_transform,
+    _bases,
+    _sample_on_ball,
+    _unpack,
+    as_caps,
+)
 
 __all__ = [
     "MeasurementSet",
@@ -81,12 +88,10 @@ def forward_measure(c: CoefficientField, K: int, degree_caps) -> MeasurementSet:
         if offender is not None:
             raise IncompleteSupportError(*offender)
     op = coupling_operator(caps)
-    coeffs = np.zeros(op.col_base[-1], dtype=complex)
-    for idx, val in c.entries.items():
-        if idx.k <= K and idx.ell <= op.col_caps[idx.k]:
-            coeffs[op.column(idx.k, idx.ell, idx.m)] = val
+    # the operator's columns are a packed layout under col_caps
+    coeffs = c._relaid(op.col_caps)[0]
     values = np.concatenate([st.term_sum(coeffs) for st in op.stages])
-    return MeasurementSet(dict(zip(op.keys, values.tolist())), K, caps)
+    return MeasurementSet._packed(values, np.ones(values.size, dtype=bool), K, caps)
 
 
 def _first_unsupported_demand(c: CoefficientField, caps: tuple):
@@ -105,7 +110,7 @@ def _first_unsupported_demand(c: CoefficientField, caps: tuple):
     return None
 
 
-def _oracle_values(eta_cube: np.ndarray, caps: tuple, quad: BallQuadrature) -> dict:
+def _oracle_values(eta_cube: np.ndarray, caps: tuple, quad: BallQuadrature) -> np.ndarray:
     """Quadrature measurements of one sampled field for every index under ``caps``.
 
     With a = k + 1, b = ell + k + 1 and (-1)^m Y_b^{-m} = conj(Y_b^m),
@@ -113,7 +118,7 @@ def _oracle_values(eta_cube: np.ndarray, caps: tuple, quad: BallQuadrature) -> d
     since grad_S Y_a^0 has no azimuthal component.  Y_a^0 is zonal, so
     the phi-sum is the azimuthal transform of the cube, the theta-sum one
     normalised Legendre sweep per |m| for every degree b, and the r-sum a
-    power-weighted row sum.  Keys are (k, ell, m), in that order.
+    power-weighted row sum.  The values come in the packed (k, ell, m) order.
     """
     lmax = max(caps)
     f_m = _azimuthal_transform(eta_cube, quad, lmax)
@@ -126,7 +131,7 @@ def _oracle_values(eta_cube: np.ndarray, caps: tuple, quad: BallQuadrature) -> d
     # r^(ell + 2k) times the radial weights, rows ell = 0..caps[k]
     powers = [quad.r_weights * quad.r ** np.arange(2 * k, cap + 2 * k + 1)[:, None]
               for k, cap in enumerate(caps)]
-    vals = [np.zeros((cap + 1, 2 * lmax + 1), dtype=complex) for cap in caps]
+    vals = np.zeros((len(caps), lmax + 1, 2 * lmax + 1), dtype=complex)
     for m in range(-lmax, lmax + 1):
         mu = abs(m)
         sweep = specfun._norm_legendre_sweep(mu, bmax, x)  # rows b = mu..bmax
@@ -140,13 +145,10 @@ def _oracle_values(eta_cube: np.ndarray, caps: tuple, quad: BallQuadrature) -> d
             b = np.arange(mu + a, cap + a + 1)[:, None]
             rows = slice(a, cap + a - mu + 1)
             prof = sweep[rows] * zonal[a] + dsweep[rows] * dzonal[a] / (a * b)
-            vals[k][mu:, m + lmax] = sign * np.sum(powers[k][mu:] * (prof @ f_t), axis=1)
-    return {
-        (k, ell, m): complex(vals[k][ell, m + lmax])
-        for k, cap in enumerate(caps)
-        for ell in range(cap + 1)
-        for m in range(-ell, ell + 1)
-    }
+            vals[k, mu : cap + 1, m + lmax] = sign * np.sum(powers[k][mu:] * (prof @ f_t), axis=1)
+    base = _bases(caps)
+    k, ell, m = _unpack(base, np.arange(base[-1]))
+    return vals[k, ell, m + lmax]
 
 
 def oracle_measure(eta, K: int, degree_caps, quad: BallQuadrature | None = None) -> MeasurementSet:
@@ -159,7 +161,8 @@ def oracle_measure(eta, K: int, degree_caps, quad: BallQuadrature | None = None)
     if quad is None:
         quad = BallQuadrature()
     cube = _sample_on_ball(eta, quad)
-    return MeasurementSet(_oracle_values(cube, caps, quad), K, caps)
+    values = _oracle_values(cube, caps, quad)
+    return MeasurementSet._packed(values, np.ones(values.size, dtype=bool), K, caps)
 
 
 def add_noise(ms: MeasurementSet, relative_level: float, seed: int) -> MeasurementSet:
@@ -175,27 +178,25 @@ def add_noise(ms: MeasurementSet, relative_level: float, seed: int) -> Measureme
     if not (math.isfinite(relative_level) and relative_level >= 0):
         raise ValueError(f"noise level must be finite and nonnegative, got {relative_level}")
     if relative_level == 0:
-        return MeasurementSet(dict(ms.entries), ms.kmax, ms.degree_caps)
+        return MeasurementSet._packed(ms.data, ms.present, ms.kmax, ms.degree_caps)
     sigma = relative_level * ms.rms()
-    rng = np.random.default_rng(seed)
-    keys = sorted(ms.entries, key=lambda i: (i.k, i.ell, i.m))
-    noisy = dict(ms.entries)
-    for idx in keys:
-        if idx.m < 0:
-            continue
-        if idx.m == 0:
-            noise = complex(sigma * rng.standard_normal())
-        else:
-            g1, g2 = rng.standard_normal(2)
-            noise = sigma * complex(g1, g2) / math.sqrt(2.0)
-        noisy[idx] = noisy[idx] + noise
-        if idx.m > 0:
-            mirror = ZernikeIndex(idx.k, idx.ell, -idx.m)
-            if mirror in noisy:
-                noisy[mirror] = noisy[mirror] + (-1) ** idx.m * np.conj(noise)
-    for idx in keys:
-        if idx.m >= 0 or ZernikeIndex(idx.k, idx.ell, -idx.m) in ms.entries:
-            continue
-        g1, g2 = rng.standard_normal(2)
-        noisy[idx] = noisy[idx] + sigma * complex(g1, g2) / math.sqrt(2.0)
-    return MeasurementSet(noisy, ms.kmax, ms.degree_caps)
+    pos = np.flatnonzero(ms.present)
+    m = _unpack(ms.base, pos)[2]
+    partner = ms.present[pos - 2 * m]
+    # the draws of a sweep in (k, ell, m) order over the m >= 0 entries, one
+    # number for m = 0 and two otherwise, then two for every m < 0 entry
+    # without a stored partner
+    order = np.concatenate([np.flatnonzero(m >= 0), np.flatnonzero((m < 0) & ~partner)])
+    own, width = pos[order], np.where(m[order] == 0, 1, 2)
+    first = np.cumsum(width) - width
+    g = np.append(np.random.default_rng(seed).standard_normal(int(width.sum())), 0.0)
+    noise = np.zeros(ms.data.size, dtype=complex)
+    # sigma g for m = 0, else sigma (g1 + i g2) / sqrt(2), a true division per part
+    noise.real[own] = np.where(width == 1, sigma * g[first], sigma * g[first] / math.sqrt(2.0))
+    noise.imag[own] = np.where(width == 1, 0.0, sigma * g[first + 1] / math.sqrt(2.0))
+    # the partner of an m > 0 entry takes (-1)^m conj(noise), 2m slots before it
+    mirror = (m > 0) & partner
+    noise[pos[mirror] - 2 * m[mirror]] = np.where(m[mirror] % 2, -1.0, 1.0) * np.conj(
+        noise[pos[mirror]]
+    )
+    return MeasurementSet._packed(ms.data + noise, ms.present, ms.kmax, ms.degree_caps)

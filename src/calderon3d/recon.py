@@ -49,12 +49,11 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 
 import numpy as np
 
 from . import specfun
-from .zernike import CoefficientField, ZernikeIndex
+from .zernike import CoefficientField, ZernikeIndex, _bases, _unpack
 
 __all__ = [
     "TruncationSchedule",
@@ -224,16 +223,23 @@ class CouplingStage:
 class CouplingOperator:
     """The series couplings Q_{l,s}^{k,m,q} for one tuple of degree caps.
 
-    Row (k, ell, m), ell <= caps[k], is a measurement; ``keys`` names the
-    rows in (k, ell, m) order.  Column (q, ell', m) is a coefficient; the
-    columns of radial index q reach degree ``col_caps[q]``, which exceeds
-    caps[q] only for infeasible schedules.
+    Row (k, ell, m), ell <= caps[k], is a measurement, and the rows are a
+    packed coefficient layout under ``caps``.  Column (q, ell', m) is a
+    coefficient; the columns are the packed layout under ``col_caps``,
+    whose degree for radial index q exceeds caps[q] only for infeasible
+    schedules.
     """
 
-    keys: tuple
+    caps: tuple
     col_caps: tuple
     col_base: tuple  # col_base[q]: flat index of column (q, 0, 0); last entry is the width
     stages: tuple
+
+    @property
+    def keys(self) -> tuple:
+        """The ZernikeIndex of every row, in row order; the solve never needs them."""
+        k, ell, m = _unpack(_bases(self.caps), np.arange(_bases(self.caps)[-1]))
+        return tuple(map(ZernikeIndex, k.tolist(), ell.tolist(), m.tolist()))
 
     def column(self, q: int, ell: int, m: int) -> int:
         return self.col_base[q] + ell * (ell + 1) + m
@@ -272,13 +278,7 @@ def coupling_operator(caps: tuple) -> CouplingOperator:
             )
     K = len(caps) - 1
     col_caps = tuple(max(caps[k] + 2 * (k - q) for k in range(q, K + 1)) for q in range(K + 1))
-    col_base = (0, *accumulate((c + 1) ** 2 for c in col_caps))
-    keys = tuple(
-        ZernikeIndex(k, ell, m)
-        for k, cap in enumerate(caps)
-        for ell in range(cap + 1)
-        for m in range(-ell, ell + 1)
-    )
+    col_base = _bases(col_caps)
     # every Gaunt row of every stage, (k, s, ell) in order, in one batch
     rows = [(k, s, ell) for k, cap in enumerate(caps) for s in range(k + 1) for ell in range(cap + 1)]
     table = specfun.coupling_gaunts(*zip(*rows))
@@ -313,7 +313,7 @@ def coupling_operator(caps: tuple) -> CouplingOperator:
             )
         )
         start += ell.size
-    return CouplingOperator(keys, col_caps, col_base, tuple(stages))
+    return CouplingOperator(caps, col_caps, col_base, tuple(stages))
 
 
 def validate_schedule(schedule: TruncationSchedule) -> list:
@@ -366,24 +366,25 @@ def reconstruct(
     if violations and not zero_fill:
         raise InfeasibleScheduleError(violations)
     op = coupling_operator(schedule.caps)
-    measured = [ms.entries.get(key) for key in op.keys]
-    gaps = [key for key, value in zip(op.keys, measured) if value is None]
-    if gaps:
-        gap = min(gaps, key=lambda i: (i.k, -i.ell, i.m))
-        raise MissingMeasurementError(gap.k, gap.ell, gap.m)
+    # the rows are the packed layout under the schedule's caps
+    measured, have = ms._relaid(schedule.caps)
+    if not have.all():
+        k, ell, m = _unpack(_bases(schedule.caps), np.flatnonzero(~have))
+        gap = np.lexsort((m, -ell, k))[0]
+        raise MissingMeasurementError(int(k[gap]), int(ell[gap]), int(m[gap]))
     coeffs = np.zeros(op.col_base[-1], dtype=complex)  # stays 0 where never reconstructed
     stages = []
     for k, st in enumerate(op.stages):
         divisor = st.vals[-1]
-        for i in np.flatnonzero(np.abs(divisor) < DIVISOR_UNDERFLOW):
-            idx = op.keys[st.start + i]
+        for i in np.flatnonzero(np.abs(divisor) < DIVISOR_UNDERFLOW).tolist():
+            ell = math.isqrt(i)
             warnings.warn(
                 f"divisor |Q| = {abs(divisor[i]):.3e} below {DIVISOR_UNDERFLOW} at "
-                f"(k={idx.k}, ell={idx.ell}, m={idx.m}); the special functions are suspect",
+                f"(k={k}, ell={ell}, m={i - ell * (ell + 1)}); the special functions are suspect",
                 DivisorUnderflowWarning,
             )
         inner = st.term_sum(coeffs, -1)
-        rhs = np.array(measured[st.start : st.start + st.size], dtype=complex) - inner
+        rhs = measured[st.start : st.start + st.size] - inner
         # divide each part: numpy's complex / float multiplies by the
         # reciprocal, which rounds differently from a true division
         coeffs.real[st.cols[-1]] = rhs.real / divisor
@@ -392,9 +393,10 @@ def reconstruct(
         largest = float(np.hypot(inner.real, inner.imag).max())
         stages.append(StageDiagnostic(k=k, max_inner_sum_magnitude=largest))
     solution = np.concatenate([coeffs[st.cols[-1]] for st in op.stages])
-    entries = dict(zip(op.keys, solution.tolist()))
     return ReconReport(
-        field=CoefficientField(entries, schedule.K, schedule.caps, certified=True),
+        field=CoefficientField._packed(
+            solution, np.ones(solution.size, dtype=bool), schedule.K, schedule.caps
+        ),
         schedule=schedule,
         min_divisor=min(float(np.abs(st.vals[-1]).min()) for st in op.stages),
         stages=tuple(stages),

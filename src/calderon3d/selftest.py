@@ -36,7 +36,7 @@ from .recon import (
     reconstruct,
     validate_schedule,
 )
-from .zernike import CoefficientField, basis_gram
+from .zernike import CoefficientField, _bases, as_caps, basis_gram
 
 __all__ = ["CheckResult", "run_selftest"]
 
@@ -50,12 +50,11 @@ class CheckResult:
 
 
 def _random_field(kmax, caps, rng):
-    entries = {}
-    for k in range(kmax + 1):
-        for ell in range(caps[k] + 1):
-            for m in range(-ell, ell + 1):
-                entries[(k, ell, m)] = complex(rng.standard_normal(), rng.standard_normal())
-    return CoefficientField(entries, kmax, caps)
+    # complex(g, g') per index in (k, ell, m) order: the draws pair up as is
+    caps = as_caps(kmax, caps)
+    n = _bases(caps)[-1]
+    values = rng.standard_normal(2 * n).view(complex)
+    return CoefficientField._packed(values, np.ones(n, dtype=bool), kmax, caps)
 
 
 def _check_weight_sum():
@@ -215,8 +214,7 @@ def _check_round_trip(n_fields, K, top, seed):
     for _ in range(n_fields):
         c = _random_field(K, caps, rng)
         rep = reconstruct(forward_measure(c, K, caps), schedule)
-        for idx, val in c.entries.items():
-            worst = max(worst, abs(rep.field.entries[idx] - val) / abs(val))
+        worst = max(worst, float(np.max(np.abs(rep.field.data - c.data) / np.abs(c.data))))
     return worst <= 1e-10, (
         f"{n_fields} fields, K = {K}, caps {caps}: worst relative error "
         f"{worst:.3e} (tol 1e-10)"

@@ -12,11 +12,11 @@ where indices beyond the stored support must not be assumed zero.
 
 Measurement documents:  {"K": int, "entries": [... same shape ...]}.
 Both kinds hold the same container, so one writer and one reader serve
-them.  The reader requires the header ("kmax" or "K") to be a
-JSON integer from 0 to specfun.DEGREE_CAP, checked before anything is
-sized from it, "certified" to be a JSON boolean, every index to be a
-JSON integer and every value a finite JSON number; anything else is a
-ValueError that names the file.
+them.  The reader requires the header ("kmax" or "K") and every
+entry's degree to be JSON integers from 0 to specfun.DEGREE_CAP, checked
+before anything is sized from them, "certified" to be a JSON boolean,
+every index to be a JSON integer and every value a finite JSON number;
+anything else is a ValueError that names the file.
 
 Reconstruction reports: a coefficient document plus a "diagnostics"
 object {"min_divisor", "schedule", "stages": [{"k",
@@ -42,7 +42,7 @@ import numpy as np
 from .forward import MeasurementSet
 from .recon import ReconReport, StageDiagnostic, TruncationSchedule
 from .specfun import DEGREE_CAP
-from .zernike import CoefficientField, ZernikeIndex
+from .zernike import CoefficientField, _bases, _unpack
 
 __all__ = [
     "GridSlice",
@@ -78,20 +78,21 @@ def _float(v) -> float:
 def _write_document(path, key: str, c: CoefficientField, tail=()) -> None:
     """Write {key: kmax, ["certified": false,] "entries": [...], *tail}.
 
-    The entries are sorted by (k, ell, m); ``tail`` holds further
-    top-level members as ready-made lines.
+    The entries come in the container's packed order, which is sorted by
+    (k, ell, m); ``tail`` holds further top-level members as ready-made
+    lines.
     """
     lines = ["{", f'  "{key}": {c.kmax},']
     if not c.certified:
         lines.append('  "certified": false,')
     lines.append('  "entries": [')
-    items = c.items_sorted()
-    for i, (idx, val) in enumerate(items):
-        comma = "," if i + 1 < len(items) else ""
-        lines.append(
-            f'    {{"k": {idx.k}, "ell": {idx.ell}, "m": {idx.m}, '
-            f'"re": {_fmt(val.real)}, "im": {_fmt(val.imag)}}}{comma}'
-        )
+    pos = np.flatnonzero(c.present)
+    index = zip(*(a.tolist() for a in _unpack(c.base, pos)))
+    rows = [
+        f'    {{"k": {k}, "ell": {ell}, "m": {m}, "re": {_fmt(v.real)}, "im": {_fmt(v.imag)}}}'
+        for (k, ell, m), v in zip(index, c.data[pos].tolist())
+    ]
+    lines.extend([row + "," for row in rows[:-1]] + rows[-1:])
     lines.append("  ]," if tail else "  ]")
     lines.extend(tail)
     lines.append("}")
@@ -129,23 +130,31 @@ def _read_document(path, key: str, kind: str):
     raw = doc.get("entries")
     if not isinstance(raw, list):
         raise ValueError(f"{path}: missing or malformed 'entries' list")
-    entries = {}
     caps = [0] * (kmax + 1)
+    rows = []
     for row in raw:
         try:
-            idx = ZernikeIndex(_int(row["k"]), _int(row["ell"]), _int(row["m"]))
+            k, ell, m = _int(row["k"]), _int(row["ell"]), _int(row["m"])
             re, im = _float(row["re"]), _float(row["im"])
+            if k < 0 or abs(m) > ell:
+                raise ValueError("index out of range")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: malformed entry {row!r}") from exc
+        where = f"entry (k={k}, ell={ell}, m={m})"
         if not (math.isfinite(re) and math.isfinite(im)):
-            raise ValueError(
-                f"{path}: non-finite value in entry (k={idx.k}, ell={idx.ell}, m={idx.m})"
-            )
-        if idx.k > kmax:
-            raise ValueError(f"{path}: entry {idx} exceeds the declared radial bound {kmax}")
-        caps[idx.k] = max(caps[idx.k], idx.ell)
-        entries[idx] = complex(re, im)
-    return doc, CoefficientField(entries, kmax, tuple(caps), certified)
+            raise ValueError(f"{path}: non-finite value in {where}")
+        if k > kmax:
+            raise ValueError(f"{path}: {where} exceeds the declared radial bound {kmax}")
+        if ell > DEGREE_CAP:  # checked before the arrays are sized from the caps
+            raise ValueError(f"{path}: {where} exceeds DEGREE_CAP = {DEGREE_CAP}")
+        caps[k] = max(caps[k], ell)
+        rows.append((k, ell * (ell + 1) + m, complex(re, im)))
+    base = _bases(caps)
+    data = np.zeros(base[-1], dtype=complex)
+    present = np.zeros(base[-1], dtype=bool)
+    for k, local, value in rows:  # a repeated index keeps its last entry
+        data[base[k] + local], present[base[k] + local] = value, True
+    return doc, CoefficientField._packed(data, present, kmax, tuple(caps), certified)
 
 
 # ------------------------------------------------------------- coefficients
@@ -247,12 +256,15 @@ class GridSlice:
     values: np.ndarray
 
 
+def _fmt_distinct(a: np.ndarray) -> list:
+    """``_fmt`` of every element of ``a`` in C order; each distinct value (a
+    coordinate column holds few) is formatted once."""
+    bits, inverse = np.unique(np.ravel(a).astype(float).view(np.int64), return_inverse=True)
+    text = [_fmt(v) for v in bits.view(float).tolist()]
+    return [text[i] for i in inverse.tolist()]
+
+
 def dump_grid_slice(gs: GridSlice, path) -> None:
-    n = gs.resolution
-    lines = ["x,y,z,value"]
-    for i in range(n):
-        for j in range(n):
-            coords = f"{_fmt(gs.x[i, j])},{_fmt(gs.y[i, j])},{_fmt(gs.z[i, j])}"
-            v = gs.values[i, j]
-            lines.append(f"{coords}," if math.isnan(v) else f"{coords},{_fmt(v)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    values = ["" if math.isnan(v) else _fmt(v) for v in gs.values.ravel().tolist()]
+    rows = zip(_fmt_distinct(gs.x), _fmt_distinct(gs.y), _fmt_distinct(gs.z), values)
+    Path(path).write_text("\n".join(["x,y,z,value", *map(",".join, rows)]) + "\n")

@@ -24,13 +24,15 @@ index and converted to floats once, keeping relative error at a few ulp
 (the reconstruction divides by these numbers).
 
 A CoefficientField stores the expansion coefficients c_l^{k,m} inside
-declared support bounds (kmax plus a per-k degree cap).  Indices beyond
-the bounds are exact zeros when the field is marked ``certified``; a
-field produced by projecting an arbitrary function is a truncation, is
-not certified, and downstream consumers refuse to treat its tail as
-zero.  Measurements M(k, l, m) live on the same index set under the
-same caps, so they use the same container (``forward.MeasurementSet``
-is this class).
+declared support bounds (kmax plus a per-k degree cap), packed into one
+flat complex array with a presence mask: k-major, then ell, then m, the
+coupling operator's row order.  ``entries`` is a read-only Mapping view
+keyed by ZernikeIndex; no computation walks it.  Indices beyond the
+bounds are exact zeros when the field is marked ``certified``; a field
+produced by projecting an arbitrary function is a truncation, is not
+certified, and downstream consumers refuse to treat its tail as zero.
+Measurements M(k, l, m) live on the same index set under the same caps,
+so they use the same container (``forward.MeasurementSet`` is this class).
 
 ``project`` and ``forward.oracle_measure`` sample a field through one
 helper, which rejects a result that does not have the grid's shape.
@@ -53,8 +55,10 @@ degree's matrix that feeds the real part.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
 
 import numpy as np
@@ -101,8 +105,9 @@ class ZernikeIndex:
 def as_caps(kmax: int, caps) -> tuple[int, ...]:
     """Normalize a degree bound (scalar or per-k sequence) to a tuple.
 
-    ``kmax`` is at most DEGREE_CAP: no stage past it can be simulated or
-    reconstructed, and a file header can then never size a huge allocation.
+    ``kmax`` and every cap are at most DEGREE_CAP: no stage or degree past
+    it can be simulated or reconstructed, and a file can then never size a
+    huge allocation (a packed field has at most (DEGREE_CAP + 1)^3 slots).
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
@@ -116,6 +121,8 @@ def as_caps(kmax: int, caps) -> tuple[int, ...]:
     for k, cap in enumerate(caps):
         if cap < 0:
             raise ValueError(f"degree cap for k={k} must be nonnegative, got {cap}")
+        if cap > DEGREE_CAP:
+            raise ValueError(f"degree cap {cap} for k={k} exceeds DEGREE_CAP = {DEGREE_CAP}")
     return caps
 
 
@@ -204,10 +211,54 @@ def psi_eval(k: int, ell: int, m: int, r, theta, phi):
     return radial_zernike(ell, k, r) * sph_harm(ell, m, theta, phi)
 
 
-@dataclass(frozen=True, eq=False)
+def _bases(caps) -> tuple:
+    """Packed position of (k, 0, 0) for every k under ``caps``; the last
+    entry is the number of slots."""
+    return (0, *accumulate((cap + 1) ** 2 for cap in caps))
+
+
+def _unpack(base, pos):
+    """(k, ell, m) arrays of the packed positions ``pos`` under ``base``."""
+    k = np.searchsorted(base, pos, side="right") - 1
+    local = pos - np.asarray(base)[k]
+    # exact: local < (DEGREE_CAP + 1)^2, far inside float's integer range
+    ell = np.sqrt(local).astype(np.int64)
+    return k, ell, local - ell * (ell + 1)
+
+
+class _Entries(Mapping):
+    """Read-only view of a field's stored entries, ZernikeIndex -> complex,
+    iterated in (k, ell, m) order."""
+
+    def __init__(self, field):
+        self._field = field
+
+    def __getitem__(self, key):
+        f = self._field
+        if isinstance(key, ZernikeIndex) and f.in_bounds(key.k, key.ell, key.m):
+            pos = f.base[key.k] + key.ell * (key.ell + 1) + key.m
+            if f.present[pos]:
+                return complex(f.data[pos])
+        raise KeyError(key)
+
+    def __iter__(self):
+        k, ell, m = _unpack(self._field.base, np.flatnonzero(self._field.present))
+        return map(ZernikeIndex, k.tolist(), ell.tolist(), m.tolist())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self._field.present))
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class CoefficientField:
     """Expansion coefficients c_l^{k,m} (or measurements M(k, l, m)) with
     declared support bounds.
+
+    ``data`` (complex) and ``present`` (bool) are read-only arrays with
+    index (k, ell, m) at ``base[k] + ell (ell + 1) + m``, where
+    ``base[k] = sum_{q<k} (degree_caps[q] + 1)^2``; an absent index holds 0.
+    ``entries``, alias ``values``, is a read-only Mapping from ZernikeIndex
+    to complex over the present indices, in that (sorted) order.
 
     Parameters
     ----------
@@ -225,60 +276,90 @@ class CoefficientField:
         truncations of unknown functions, e.g. quadrature projections.
     """
 
-    entries: dict
     kmax: int
     degree_caps: tuple
-    certified: bool = True
+    certified: bool
+    base: tuple
+    data: np.ndarray
+    present: np.ndarray
 
-    def __post_init__(self) -> None:
-        caps = as_caps(self.kmax, self.degree_caps)
-        normalized = {}
-        for key, val in self.entries.items():
+    def __init__(self, entries, kmax, degree_caps, certified=True):
+        caps = as_caps(kmax, degree_caps)
+        base = _bases(caps)
+        data = np.zeros(base[-1], dtype=complex)
+        present = np.zeros(base[-1], dtype=bool)
+        for key, val in entries.items():
             idx = key if isinstance(key, ZernikeIndex) else ZernikeIndex(*key)
-            if idx.k > self.kmax or idx.ell > caps[idx.k]:
+            if idx.k > kmax or idx.ell > caps[idx.k]:
                 raise ValueError(f"entry {idx} lies outside the declared bounds")
-            normalized[idx] = complex(val)
-        object.__setattr__(self, "entries", normalized)
-        object.__setattr__(self, "degree_caps", caps)
+            pos = base[idx.k] + idx.ell * (idx.ell + 1) + idx.m
+            data[pos], present[pos] = complex(val), True
+        vars(self).update(vars(self._packed(data, present, kmax, caps, certified)))
+
+    @classmethod
+    def _packed(cls, data, present, kmax, caps, certified=True):
+        """A field over arrays already in the packed layout of the caps tuple
+        ``caps``; ``data`` must hold 0 where ``present`` is False."""
+        field = object.__new__(cls)
+        data.flags.writeable = present.flags.writeable = False
+        field.__dict__.update(kmax=kmax, degree_caps=caps, certified=certified,
+                              base=_bases(caps), data=data, present=present)
+        return field
+
+    @property
+    def entries(self) -> Mapping:
+        return _Entries(self)
+
+    values = entries  # the name measurement code reads
 
     def in_bounds(self, k: int, ell: int, m: int) -> bool:
         return 0 <= k <= self.kmax and abs(m) <= ell <= self.degree_caps[k]
-
-    @property
-    def values(self) -> dict:
-        """The entries, under the name measurement code reads."""
-        return self.entries
 
     def get(self, k: int, ell: int, m: int, default=0j):
         """Stored value, or ``default`` for an absent index."""
         return self.entries.get(ZernikeIndex(k, ell, m), default)
 
     def items_sorted(self):
-        return sorted(self.entries.items(), key=lambda kv: (kv[0].k, kv[0].ell, kv[0].m))
+        return self.entries.items()
+
+    def _relaid(self, caps: tuple):
+        """``(data, present)`` in the packed layout of the caps tuple ``caps``:
+        indices past those caps are dropped, and indices past this field's
+        own bounds are absent.  Each k is one slice copy."""
+        base = _bases(caps)
+        data = np.zeros(base[-1], dtype=complex)
+        present = np.zeros(base[-1], dtype=bool)
+        for k in range(min(len(caps), self.kmax + 1)):
+            n = (min(caps[k], self.degree_caps[k]) + 1) ** 2
+            data[base[k] : base[k] + n] = self.data[self.base[k] : self.base[k] + n]
+            present[base[k] : base[k] + n] = self.present[self.base[k] : self.base[k] + n]
+        return data, present
+
+    def _sum_squares(self, k=None) -> float:
+        # Python's sum of abs(v) ** 2 in packed order: add_noise scales by
+        # rms(), and numpy's square or pairwise sum would move its last bits
+        span = slice(None) if k is None else slice(self.base[k], self.base[k + 1])
+        return sum(abs(v) ** 2 for v in self.data[span][self.present[span]].tolist())
 
     def norm(self) -> float:
         """L^2(ball) norm of the represented field (basis orthonormality)."""
-        return math.sqrt(sum(abs(v) ** 2 for v in self.entries.values()))
+        return math.sqrt(self._sum_squares())
 
     def rms(self) -> float:
         """Root-mean-square magnitude of the stored values."""
-        if not self.entries:
-            return 0.0
-        return math.sqrt(sum(abs(v) ** 2 for v in self.entries.values()) / len(self.entries))
+        count = len(self.entries)
+        return math.sqrt(self._sum_squares() / count) if count else 0.0
 
     def norms_per_k(self) -> list:
-        out = [0.0] * (self.kmax + 1)
-        for idx, val in self.entries.items():
-            out[idx.k] += abs(val) ** 2
-        return [math.sqrt(s) for s in out]
+        return [math.sqrt(self._sum_squares(k)) for k in range(self.kmax + 1)]
 
     def conjugate_symmetry_error(self) -> float:
         """Max deviation from c_l^{k,-m} = (-1)^m conj(c_l^{k,m})."""
-        err = 0.0
-        for idx, val in self.entries.items():
-            mirror = self.get(idx.k, idx.ell, -idx.m)
-            err = max(err, abs(mirror - (-1) ** idx.m * np.conj(val)))
-        return err
+        pos = np.flatnonzero(self.present)
+        m = _unpack(self.base, pos)[2]
+        # an absent mirror holds 0, as get() returns for it
+        diff = self.data[pos - 2 * m] - np.where(m % 2, -1.0, 1.0) * np.conj(self.data[pos])
+        return float(np.hypot(diff.real, diff.imag).max(initial=0.0))
 
 
 def _spherical_from_cartesian(x, y, z):
@@ -337,28 +418,27 @@ def project(eta, kmax: int, degree_caps, quad: BallQuadrature | None = None) -> 
         quad = BallQuadrature()
     lmax = max(caps)
     f_m = _azimuthal_transform(_sample_on_ball(eta, quad), quad, lmax)
-    # weighted radial profiles: one recurrence per degree, up to the last k that reaches it
-    radial = [
-        quad.r_weights
-        * _radial_zernike_rows(ell, max(k for k, cap in enumerate(caps) if cap >= ell), quad.r)
-        for ell in range(lmax + 1)
-    ]
+    # weighted radial profiles, (ell, k, n_r); a row does not depend on how
+    # many rows its recurrence runs
+    radial = np.array([quad.r_weights * _radial_zernike_rows(ell, kmax, quad.r)
+                       for ell in range(lmax + 1)])
+    base = _bases(caps)
+    ells = np.arange(lmax + 1)[:, None]
+    # packed position of (k, ell, 0) at [ell, k], kept where ell <= caps[k]
+    start = np.array(base[:-1]) + ells * (ells + 1)
+    inside = ells <= np.array(caps)
 
     ct = np.cos(quad.theta)
     wt = quad.theta_weights
-    entries = {}
+    data = np.zeros(base[-1], dtype=complex)
     for m in range(-lmax, lmax + 1):
         mu = abs(m)
         sweep = _norm_legendre_sweep(mu, lmax, ct)  # rows ell = mu..lmax
-        sign = _negative_order_sign(m)
         # theta contraction for all ell at once: (nl, nth) @ (nth, nr)
         rad_prof = (sweep * wt) @ f_m[:, :, m + lmax].T  # (nl, n_r)
-        for ell in range(mu, lmax + 1):
-            for k in range(kmax + 1):
-                if caps[k] >= ell:
-                    val = sign * np.sum(radial[ell][k] * rad_prof[ell - mu])
-                    entries[ZernikeIndex(k, ell, m)] = complex(val)
-    return CoefficientField(entries, kmax, caps, certified=False)
+        block = _negative_order_sign(m) * (radial[mu:] * rad_prof[:, None, :]).sum(axis=-1)
+        data[start[mu:][inside[mu:]] + m] = block[inside[mu:]]
+    return CoefficientField._packed(data, np.ones(data.size, dtype=bool), kmax, caps, False)
 
 
 # Rings (distinct (r, theta) pairs) and points per synthesis block.  The
@@ -385,11 +465,13 @@ def _degree_matrices(c: CoefficientField, mode) -> dict:
         isinstance(mode, bool) or not isinstance(mode, (int, np.integer)) or mode < 0
     ):
         raise ValueError(f"mode must be 'full' or a nonnegative integer, got {mode!r}")
-    kept = [idx for idx in c.entries if mode == "full" or idx.k <= mode]
-    if not kept:
+    # the layout is k-major, so k <= mode is a prefix of the packed arrays
+    stop = c.base[-1] if mode == "full" else c.base[min(mode, c.kmax) + 1]
+    pos = np.flatnonzero(c.present[:stop])
+    if not pos.size:
         return {}
-    k, ell, m = np.array([(idx.k, idx.ell, idx.m) for idx in kept]).T
-    val = np.array([_negative_order_sign(idx.m) * c.entries[idx] for idx in kept])
+    k, ell, m = _unpack(c.base, pos)
+    val = np.where((m < 0) & (m % 2 == 1), -1.0, 1.0) * c.data[pos]
     mu = np.abs(m)
     # [ell, S/D, Re/Im, mu, k]; add.at, because m and -m share a slot
     packed = np.zeros((ell.max() + 1, 2, 2, ell.max() + 1, k.max() + 1))

@@ -10,8 +10,16 @@ from fractions import Fraction
 import numpy as np
 
 from calderon3d import specfun
+from calderon3d.quadrature import BallQuadrature
 from calderon3d.recon import tau
-from calderon3d.zernike import chi
+from calderon3d.zernike import (
+    ZernikeIndex,
+    _azimuthal_transform,
+    _radial_zernike_rows,
+    _sample_on_ball,
+    as_caps,
+    chi,
+)
 
 
 def tau_expanded(ell: int, ell_prime: int, k: int) -> float:
@@ -96,3 +104,63 @@ def assoc_legendre(ell: int, m: int, x):
         pll = (xa * (2 * ll - 1) * pmmp1 - (ll + m - 1) * pmm) / (ll - m)
         pmm, pmmp1 = pmmp1, pll
     return float(pmmp1) if scalar else pmmp1
+
+
+def add_noise_entrywise(ms, relative_level: float, seed: int) -> dict:
+    """``forward.add_noise`` as an entry-by-entry sweep over a dict, in the
+    form the packed version replaced; returns {ZernikeIndex: complex}.
+
+    Every m >= 0 entry, in sorted order, draws one number (m = 0) or two
+    and passes (-1)^m conj(noise) to a stored m < 0 partner; then every
+    m < 0 entry without a partner draws two.
+    """
+    sigma = relative_level * ms.rms()
+    rng = np.random.default_rng(seed)
+    keys = sorted(ms.entries, key=lambda i: (i.k, i.ell, i.m))
+    noisy = dict(ms.entries)
+    for idx in keys:
+        if idx.m < 0:
+            continue
+        if idx.m == 0:
+            noise = complex(sigma * rng.standard_normal())
+        else:
+            g1, g2 = rng.standard_normal(2)
+            noise = sigma * complex(g1, g2) / math.sqrt(2.0)
+        noisy[idx] = noisy[idx] + noise
+        if idx.m > 0:
+            mirror = ZernikeIndex(idx.k, idx.ell, -idx.m)
+            if mirror in noisy:
+                noisy[mirror] = noisy[mirror] + (-1) ** idx.m * np.conj(noise)
+    for idx in keys:
+        if idx.m >= 0 or ZernikeIndex(idx.k, idx.ell, -idx.m) in ms.entries:
+            continue
+        g1, g2 = rng.standard_normal(2)
+        noisy[idx] = noisy[idx] + sigma * complex(g1, g2) / math.sqrt(2.0)
+    return {idx: complex(val) for idx, val in noisy.items()}
+
+
+def project_entrywise(eta, kmax: int, degree_caps, quad: BallQuadrature) -> dict:
+    """``zernike.project`` with one radial sum per coefficient, in the form
+    the per-order contraction replaced; returns {ZernikeIndex: complex}."""
+    caps = as_caps(kmax, degree_caps)
+    lmax = max(caps)
+    f_m = _azimuthal_transform(_sample_on_ball(eta, quad), quad, lmax)
+    radial = [
+        quad.r_weights
+        * _radial_zernike_rows(ell, max(k for k, cap in enumerate(caps) if cap >= ell), quad.r)
+        for ell in range(lmax + 1)
+    ]
+    ct = np.cos(quad.theta)
+    wt = quad.theta_weights
+    entries = {}
+    for m in range(-lmax, lmax + 1):
+        mu = abs(m)
+        sweep = specfun._norm_legendre_sweep(mu, lmax, ct)
+        sign = specfun._negative_order_sign(m)
+        rad_prof = (sweep * wt) @ f_m[:, :, m + lmax].T
+        for ell in range(mu, lmax + 1):
+            for k in range(kmax + 1):
+                if caps[k] >= ell:
+                    val = sign * np.sum(radial[ell][k] * rad_prof[ell - mu])
+                    entries[ZernikeIndex(k, ell, m)] = complex(val)
+    return entries

@@ -443,6 +443,8 @@ def test_missing_input_file_exits_2(tmp_path):
         ("slice", '{"kmax": 10000000000, "entries": []}'),
         ("slice", '{"kmax": 0, "certified": "false", "entries": []}'),
         ("reconstruct", '{"K": [1], "entries": []}'),
+        # a degree past DEGREE_CAP would size the packed arrays from 10^6
+        ("slice", '{"kmax": 0, "entries": [{"k": 0, "ell": 1000000, "m": 0, "re": 1, "im": 0}]}'),
     ],
 )
 def test_malformed_document_header_exits_2(tmp_path, capsys, verb, doc):

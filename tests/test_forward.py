@@ -13,10 +13,13 @@ from calderon3d.forward import (
     oracle_measure,
 )
 from calderon3d.quadrature import BallQuadrature
-from calderon3d.recon import big_q
+from calderon3d.recon import MissingMeasurementError, TruncationSchedule, big_q, reconstruct
+from calderon3d.serialize import dump_measurement_set, load_measurement_set
 from calderon3d.zernike import CoefficientField, ZernikeIndex, synthesize_xyz
 
+from reference import add_noise_entrywise
 from test_recon import random_field
+from test_zernike import complex_bits
 
 QUAD = BallQuadrature()
 
@@ -265,3 +268,58 @@ def test_noise_rejects_negative_level():
     ms = make_ms(np.random.default_rng(36))
     with pytest.raises(ValueError):
         add_noise(ms, -0.1, seed=0)
+
+
+def assert_noise_equals_reference(ms, level, seed):
+    out = add_noise(ms, level, seed)
+    want = add_noise_entrywise(ms, level, seed)
+    assert list(out.values) == list(want)
+    assert np.array_equal(complex_bits(out.values.values()), complex_bits(want.values()))
+
+
+@pytest.mark.parametrize("caps", [(4, 2), (16, 11, 7, 5, 3)])
+def test_noise_equals_the_entrywise_reference_on_dense_sets(caps):
+    ms = make_ms(np.random.default_rng(37), K=len(caps) - 1, caps=caps)
+    for seed in (0, 11, 2024, 12345):
+        assert_noise_equals_reference(ms, 1e-3, seed)
+
+
+def test_noise_equals_the_entrywise_reference_on_sparse_sets():
+    rng = np.random.default_rng(38)
+    caps = (6, 4, 2)
+    for seed in range(6):
+        values = {
+            (k, ell, m): complex(rng.normal(), rng.normal())
+            for k, cap in enumerate(caps)
+            for ell in range(cap + 1)
+            for m in range(-ell, ell + 1)
+            if rng.uniform() < 0.5
+        }
+        # a stored signed zero keeps its sign through the sum
+        values[(2, 1, -1)] = complex(-0.0, -0.0)
+        ms = MeasurementSet(values, 2, caps)
+        assert any(i.m < 0 and ZernikeIndex(i.k, i.ell, -i.m) not in ms.values for i in ms.values)
+        assert_noise_equals_reference(ms, 1e-2, seed)
+
+
+def test_presence_survives_a_file_round_trip(tmp_path):
+    caps = (6, 4)
+    full = make_ms(np.random.default_rng(39), caps=caps)
+    values = dict(full.values)
+    for key in [(1, 4, -3), (1, 2, 0), (0, 5, 5)]:
+        del values[ZernikeIndex(*key)]
+    values[ZernikeIndex(1, 3, 1)] = 0j  # a stored zero stays present
+    gappy = MeasurementSet(values, 1, caps)
+    dump_measurement_set(gappy, tmp_path / "m.json")
+    back = load_measurement_set(tmp_path / "m.json")
+    assert np.array_equal(back.present, gappy.present) and back.values == gappy.values
+    # the first gap in (k ascending, ell descending, m ascending) order
+    for ms in (gappy, back):
+        with pytest.raises(MissingMeasurementError) as err:
+            reconstruct(ms, TruncationSchedule(caps))
+        assert err.value.index == (0, 5, 5)
+    # a stage past the set's radial bound is missing whole
+    stage0 = MeasurementSet({i: v for i, v in full.values.items() if i.k == 0}, 0, caps[:1])
+    with pytest.raises(MissingMeasurementError) as err:
+        reconstruct(stage0, TruncationSchedule(caps))
+    assert err.value.index == (1, 4, -4)

@@ -25,7 +25,7 @@ from calderon3d.zernike import (
     synthesize_xyz,
 )
 
-from reference import chi_fraction
+from reference import chi_fraction, project_entrywise
 
 QUAD = BallQuadrature()
 RNG = np.random.default_rng(414243)
@@ -230,6 +230,38 @@ def test_radial_bound_stops_at_degree_cap():
         as_caps(DEGREE_CAP + 1, 0)
     with pytest.raises(ValueError, match="DEGREE_CAP"):
         CoefficientField({}, kmax=10**10, degree_caps=0)
+    with pytest.raises(ValueError, match="DEGREE_CAP"):
+        CoefficientField({}, 0, DEGREE_CAP + 1)
+
+
+def complex_bits(values) -> np.ndarray:
+    """The bit patterns of the real and imaginary parts, so -0.0 != 0.0."""
+    return np.array([complex(v) for v in values]).view(np.int64)
+
+
+def test_entries_view_is_a_sorted_read_only_mapping():
+    f = CoefficientField({(1, 0, 0): 2.0, (0, 1, 1): 1j, (0, 1, -1): 0j}, 1, (1, 0))
+    view = f.entries
+    assert len(view) == 3
+    assert list(view) == [ZernikeIndex(0, 1, -1), ZernikeIndex(0, 1, 1), ZernikeIndex(1, 0, 0)]
+    assert view[ZernikeIndex(0, 1, 1)] == 1j
+    assert ZernikeIndex(0, 1, -1) in view  # a stored zero is present
+    assert ZernikeIndex(0, 1, 0) not in view  # in bounds, but never stored
+    assert ZernikeIndex(0, 5, 0) not in view and (0, 1, 1) not in view
+    assert view.get(ZernikeIndex(0, 1, 0)) is None
+    assert f.get(0, 1, 0) == 0 and f.get(0, 1, -1, default=None) == 0
+    with pytest.raises(KeyError):
+        view[ZernikeIndex(0, 0, 0)]
+    with pytest.raises(TypeError):
+        view[ZernikeIndex(0, 0, 0)] = 1.0
+    with pytest.raises(ValueError):
+        f.data[0] = 1.0
+    with pytest.raises(AttributeError):
+        f.kmax = 2
+    assert f.values == view
+    back = CoefficientField(dict(view), f.kmax, f.degree_caps)
+    assert np.array_equal(back.data, f.data) and np.array_equal(back.present, f.present)
+    assert back.entries == view
 
 
 def test_field_get_and_norms():
@@ -264,6 +296,19 @@ def test_project_single_basis_function():
     for idx, val in field.entries.items():
         want = 1.0 if idx == target else 0.0
         assert abs(val - want) <= 1e-10
+
+
+def test_project_equals_the_entrywise_reference():
+    def eta(x, y, z):
+        return np.exp(-50.0 * ((x - 0.1) ** 2 + (y + 0.2) ** 2 + (z - 0.25) ** 2))
+
+    caps = (16, 11, 7, 5, 3)
+    got = project(eta, 4, caps, QUAD)
+    want = project_entrywise(eta, 4, caps, QUAD)
+    assert list(got.entries) == sorted(want)
+    assert np.array_equal(
+        complex_bits(got.entries.values()), complex_bits(want[i] for i in got.entries)
+    )
 
 
 def test_project_zero_field():
