@@ -20,8 +20,8 @@ with u_a^b = r^a Y_a^b / a.  Two independent routes are provided:
 * ``oracle_measure``: direct ball quadrature of the kernel Phi for
   arbitrary evaluable fields, sampled on the grid by the same rule as
   ``zernike.project``.  The integral is separable: an azimuthal
-  transform of the sampled field, one normalised Legendre sweep per
-  order and a radial power sum.
+  transform of the sampled field, one normalised Legendre table for all
+  orders and a radial power sum.
 
 Agreement of the two routes is the module's central cross-check.
 Measurements are indexed and capped like coefficients, so they are held
@@ -116,36 +116,42 @@ def _oracle_values(eta_cube: np.ndarray, caps: tuple, quad: BallQuadrature) -> n
     With a = k + 1, b = ell + k + 1 and (-1)^m Y_b^{-m} = conj(Y_b^m),
     M = -int eta r^{ell+2k} [Y_a^0 + d_theta Y_a^0 d_theta / (ab)] conj(Y_b^m),
     since grad_S Y_a^0 has no azimuthal component.  Y_a^0 is zonal, so
-    the phi-sum is the azimuthal transform of the cube, the theta-sum one
-    normalised Legendre sweep per |m| for every degree b, and the r-sum a
-    power-weighted row sum.  The values come in the packed (k, ell, m) order.
+    the phi-sum is the azimuthal transform of the cube, the theta-sum reads
+    one normalised Legendre table over every order |m| and degree b, and
+    the r-sum is a power-weighted row sum.  The theta profile of a stage
+    depends on |m| only, so orders m and -m share it.  The values come in
+    the packed (k, ell, m) order.
     """
     lmax = max(caps)
     f_m = _azimuthal_transform(eta_cube, quad, lmax)
     x = np.cos(quad.theta)
     sin2 = (1.0 - x) * (1.0 + x)
-    zonal = specfun._norm_legendre_sweep(0, len(caps), x)  # rows a = 0..K+1
+    bmax = max(cap + k + 1 for k, cap in enumerate(caps))
+    table = specfun._norm_legendre_table(bmax, x, lmax)  # [mu, b], b = 0..bmax
+    zonal = table[0, : len(caps) + 1]  # rows a = 0..K+1
     dzonal = specfun._norm_legendre_sin_dtheta(0, zonal, x) * quad.theta_weights / sin2
     zonal = zonal * quad.theta_weights
-    bmax = max(cap + k + 1 for k, cap in enumerate(caps))
     # r^(ell + 2k) times the radial weights, rows ell = 0..caps[k]
     powers = [quad.r_weights * quad.r ** np.arange(2 * k, cap + 2 * k + 1)[:, None]
               for k, cap in enumerate(caps)]
     vals = np.zeros((len(caps), lmax + 1, 2 * lmax + 1), dtype=complex)
-    for m in range(-lmax, lmax + 1):
-        mu = abs(m)
-        sweep = specfun._norm_legendre_sweep(mu, bmax, x)  # rows b = mu..bmax
+    for mu in range(lmax + 1):
+        sweep = table[mu, mu:]  # rows b = mu..bmax
         dsweep = specfun._norm_legendre_sin_dtheta(mu, sweep, x)
-        f_t = f_m[:, :, m + lmax].T  # (n_theta, n_r)
-        sign = -specfun._negative_order_sign(m)  # -conj(Y_b^m) = sign P~_b^mu e^{-i m phi}
         for k, cap in enumerate(caps):
             if cap < mu:
                 continue
             a = k + 1
             b = np.arange(mu + a, cap + a + 1)[:, None]
             rows = slice(a, cap + a - mu + 1)
+            # the theta profile depends on |m| only, so orders +-mu share it
             prof = sweep[rows] * zonal[a] + dsweep[rows] * dzonal[a] / (a * b)
-            vals[k, mu : cap + 1, m + lmax] = sign * np.sum(powers[k][mu:] * (prof @ f_t), axis=1)
+            for m in (mu, -mu) if mu else (0,):
+                f_t = f_m[:, :, m + lmax].T  # (n_theta, n_r)
+                sign = -specfun._negative_order_sign(m)  # -conj(Y_b^m) = sign P~_b^mu e^{-i m phi}
+                vals[k, mu : cap + 1, m + lmax] = sign * np.sum(
+                    powers[k][mu:] * (prof @ f_t), axis=1
+                )
     base = _bases(caps)
     k, ell, m = _unpack(base, np.arange(base[-1]))
     return vals[k, ell, m + lmax]

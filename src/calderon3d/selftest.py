@@ -12,7 +12,11 @@ sphere quadrature and evaluates the right-hand side through
 constants elsewhere still look plausible.  The divisor-floor check
 compares the Gaunt factors that ``big_q`` takes from the fast
 extended-precision path with the exact ``specfun.gaunt``, also looked up
-at call time, and fails above 4 ulp.
+at call time, and fails above 4 ulp.  The phase-recurrence check compares
+the azimuthal factors e^{i mu phi} that synthesis builds by repeated
+multiplication (``zernike._phases``, looked up at call time) with cos and
+sin of mu phi in long double, for every mu <= DEGREE_CAP, and fails above
+mu eps.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import specfun
+from . import specfun, zernike
 from .forward import forward_measure, oracle_measure
 from .phantoms import PhantomSpec
 from .quadrature import BallQuadrature, SphereQuadrature
@@ -256,6 +260,24 @@ def _check_divisor_floor(lmax, kmax):
     )
 
 
+def _check_phase_recurrence(n_angles, seed):
+    if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+        return True, "not run: long double is no wider than double on this platform"
+    rng = np.random.default_rng(seed)
+    special = [0.0, math.pi / 2, math.pi, 3 * math.pi / 2, 2 * math.pi - 1e-12]
+    phi = np.concatenate([special, rng.uniform(0.0, 2 * math.pi, n_angles)])
+    cos, sin = zernike._phases(phi, specfun.DEGREE_CAP)
+    mu = np.arange(specfun.DEGREE_CAP + 1)[:, None]
+    # mu phi is exact in long double: mu needs 8 bits beyond phi's 53
+    angle = mu.astype(np.longdouble) * phi.astype(np.longdouble)
+    err = np.hypot((cos - np.cos(angle)).astype(float), (sin - np.sin(angle)).astype(float))
+    worst = float(np.max(err[1:] / mu[1:])) / np.finfo(float).eps
+    return worst <= 1.0 and not np.any(err[0]), (
+        f"e^(i mu phi) by recurrence for mu <= {specfun.DEGREE_CAP} at {phi.size} angles: "
+        f"worst error {worst:.3f} mu eps against long double (tol 1 mu eps)"
+    )
+
+
 def _suite(level: str):
     if level == "quick":
         return [
@@ -268,6 +290,7 @@ def _suite(level: str):
             ("round trip", lambda: _check_round_trip(2, 3, 8, seed=12)),
             ("schedule validation", _check_schedules),
             ("divisor floor", lambda: _check_divisor_floor(8, 3)),
+            ("phase recurrence", lambda: _check_phase_recurrence(2000, seed=13)),
         ]
     if level == "full":
         return [
@@ -280,6 +303,7 @@ def _suite(level: str):
             ("round trip", lambda: _check_round_trip(20, 5, 14, seed=12)),
             ("schedule validation", _check_schedules),
             ("divisor floor", lambda: _check_divisor_floor(20, 8)),
+            ("phase recurrence", lambda: _check_phase_recurrence(20000, seed=13)),
         ]
     raise ValueError(f"unknown selftest level {level!r}")
 

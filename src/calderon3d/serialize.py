@@ -15,8 +15,9 @@ Both kinds hold the same container, so one writer and one reader serve
 them.  The reader requires the header ("kmax" or "K") and every
 entry's degree to be JSON integers from 0 to specfun.DEGREE_CAP, checked
 before anything is sized from them, "certified" to be a JSON boolean,
-every index to be a JSON integer and every value a finite JSON number;
-anything else is a ValueError that names the file.
+every index to be a JSON integer, every value a finite JSON number and
+no (k, ell, m) to appear twice; anything else is a ValueError that names
+the file.
 
 Reconstruction reports: a coefficient document plus a "diagnostics"
 object {"min_divisor", "schedule", "stages": [{"k",
@@ -148,12 +149,15 @@ def _read_document(path, key: str, kind: str):
         if ell > DEGREE_CAP:  # checked before the arrays are sized from the caps
             raise ValueError(f"{path}: {where} exceeds DEGREE_CAP = {DEGREE_CAP}")
         caps[k] = max(caps[k], ell)
-        rows.append((k, ell * (ell + 1) + m, complex(re, im)))
+        rows.append((k, ell, m, complex(re, im)))
     base = _bases(caps)
     data = np.zeros(base[-1], dtype=complex)
     present = np.zeros(base[-1], dtype=bool)
-    for k, local, value in rows:  # a repeated index keeps its last entry
-        data[base[k] + local], present[base[k] + local] = value, True
+    for k, ell, m, value in rows:
+        pos = base[k] + ell * (ell + 1) + m
+        if present[pos]:
+            raise ValueError(f"{path}: entry (k={k}, ell={ell}, m={m}) appears more than once")
+        data[pos], present[pos] = value, True
     return doc, CoefficientField._packed(data, present, kmax, tuple(caps), certified)
 
 

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from calderon3d import cli, selftest, specfun
+from calderon3d import cli, selftest, specfun, zernike
 from calderon3d.cli import main
 from calderon3d.serialize import (
     load_coefficient_field,
@@ -384,7 +384,7 @@ def test_pipeline_closure_reconstructed_slice_matches_projection(tmp_path):
 def test_selftest_quick_passes(capsys):
     assert run(["selftest", "--level", "quick"]) == 0
     out = capsys.readouterr().out
-    assert "OK: 9/9" in out
+    assert "OK: 10/10" in out
 
 
 def test_selftest_catches_a_gaunt_sign_flip(monkeypatch):
@@ -399,6 +399,19 @@ def test_selftest_catches_a_gaunt_sign_flip(monkeypatch):
     text = stream.getvalue()
     assert not ok
     assert "FAIL  surface-gradient identity" in text
+
+
+def test_selftest_catches_phases_from_a_rounded_angle(monkeypatch):
+    # cos(mu phi) of the rounded product mu * phi, the direct evaluation the
+    # recurrence replaced, misses the mu eps bound at high orders
+    def direct(phi, lmax):
+        mu_phi = np.multiply.outer(np.arange(lmax + 1), phi)
+        return np.cos(mu_phi), np.sin(mu_phi)
+
+    monkeypatch.setattr(zernike, "_phases", direct)
+    stream = io.StringIO()
+    assert not selftest.run_selftest("quick", stream=stream)
+    assert "FAIL  phase recurrence" in stream.getvalue()
 
 
 def test_selftest_failure_exits_5(monkeypatch):
@@ -445,6 +458,11 @@ def test_missing_input_file_exits_2(tmp_path):
         ("reconstruct", '{"K": [1], "entries": []}'),
         # a degree past DEGREE_CAP would size the packed arrays from 10^6
         ("slice", '{"kmax": 0, "entries": [{"k": 0, "ell": 1000000, "m": 0, "re": 1, "im": 0}]}'),
+        # one index twice
+        ("slice", '{"kmax": 0, "entries": [{"k": 0, "ell": 0, "m": 0, "re": 1.0, "im": 0.0}, '
+                  '{"k": 0, "ell": 0, "m": 0, "re": 2.0, "im": 0.0}]}'),
+        ("reconstruct", '{"K": 0, "entries": [{"k": 0, "ell": 0, "m": 0, "re": 1.0, "im": 0.0}, '
+                        '{"k": 0, "ell": 0, "m": 0, "re": 2.0, "im": 0.0}]}'),
     ],
 )
 def test_malformed_document_header_exits_2(tmp_path, capsys, verb, doc):

@@ -195,6 +195,33 @@ def test_loader_rejects_malformed_documents(tmp_path):
         load_measurement_set(tmp_path / "nokey.json")
 
 
+REPEATED = (
+    '{"kmax": 0, "entries": [{"k": 0, "ell": 0, "m": 0, "re": 1.0, "im": 0.0}, '
+    '{"k": 0, "ell": 0, "m": 0, "re": 2.0, "im": 0.0}]}'
+)
+
+
+def test_loader_rejects_a_repeated_index(tmp_path):
+    # two rows for one (k, ell, m) are malformed input, not "the last one wins"
+    path = tmp_path / "twice.json"
+    path.write_text(REPEATED)
+    message = re.escape(f"{path}: entry (k=0, ell=0, m=0) appears more than once")
+    with pytest.raises(ValueError, match=message):
+        load_coefficient_field(path)
+    path.write_text(REPEATED.replace('"kmax"', '"K"'))
+    with pytest.raises(ValueError, match=message):
+        load_measurement_set(path)
+    # the same index twice among others, under a report's diagnostics
+    rows = [{"k": 0, "ell": ell, "m": m, "re": 1.0, "im": 0.0}
+            for ell in range(3) for m in range(-ell, ell + 1)]
+    rows.insert(5, {"k": 0, "ell": 2, "m": -1, "re": 3.0, "im": 0.0})
+    diagnostics = {"min_divisor": 1.0, "schedule": [2],
+                   "stages": [{"k": 0, "max_inner_sum_magnitude": 0}]}
+    path.write_text(json.dumps({"kmax": 0, "entries": rows, "diagnostics": diagnostics}))
+    with pytest.raises(ValueError, match=re.escape("entry (k=0, ell=2, m=-1) appears")):
+        load_recon_report(path)
+
+
 def test_dump_rejects_non_finite_values(tmp_path):
     c = CoefficientField({(0, 0, 0): complex(math.nan, 0.0)}, 0, 0)
     with pytest.raises(ValueError):

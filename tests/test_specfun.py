@@ -15,6 +15,7 @@ from calderon3d.specfun import (
     DEGREE_CAP,
     _norm_legendre_degrees,
     _norm_legendre_sweep,
+    _norm_legendre_table,
     coupling_gaunts,
     gaunt,
     gaunt_selection,
@@ -84,6 +85,22 @@ def test_degree_major_legendre_rows_equal_the_order_sweep():
         for mu in range(ell + 1):
             assert np.array_equal(rows[mu], sweeps[mu][ell - mu]), (ell, mu)
     assert ell == lmax
+
+
+@pytest.mark.parametrize("lmax", [0, 1, 48, 56])
+def test_legendre_table_rows_equal_the_order_sweep(lmax):
+    # T[mu, ell] = P~_ell^mu bit for bit, and exact zeros below the diagonal
+    theta = np.random.default_rng(lmax).uniform(0, math.pi, 150)
+    x = np.concatenate([[-1.0, 0.0, 1.0], np.cos(theta)])
+    table = _norm_legendre_table(lmax, x)
+    assert table.shape == (lmax + 1, lmax + 1, x.size)
+    for mu in range(lmax + 1):
+        assert np.array_equal(table[mu, mu:], _norm_legendre_sweep(mu, lmax, x)), mu
+        below = table[mu, :mu]
+        assert np.all(below == 0.0) and not np.any(np.signbit(below)), mu
+    # fewer orders than degrees: the leading rows of the square table
+    for mu_max in {0, lmax // 2}:
+        assert np.array_equal(_norm_legendre_table(lmax, x, mu_max), table[: mu_max + 1])
 
 
 def test_sph_harm_frozen_values():

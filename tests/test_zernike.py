@@ -418,6 +418,51 @@ def test_synthesize_matches_psi_sum(case):
         assert synthesize(field, r, th, ph) == pytest.approx(ref, rel=1e-11, abs=1e-13)
 
 
+def test_phase_recurrence_is_within_mu_eps():
+    # the reference: cos and sin of mu phi in long double, where mu phi is
+    # exact (mu <= 128 needs 8 bits beyond phi's 53)
+    assert np.finfo(np.longdouble).eps < 1e-18
+    rng = np.random.default_rng(128)
+    special = np.array([0.0, math.pi / 2, math.pi, 3 * math.pi / 2, 2 * math.pi - 1e-12])
+    phis = np.concatenate([special, rng.uniform(0.0, 2 * math.pi, 100_000)])
+    mu = np.arange(DEGREE_CAP + 1)[:, None]
+    worst = 0.0
+    for phi in np.array_split(phis, 10):  # keeps the long-double tables small
+        cos, sin = zernike._phases(phi, DEGREE_CAP)
+        assert cos.flags.c_contiguous and sin.flags.c_contiguous
+        angle = mu.astype(np.longdouble) * phi.astype(np.longdouble)
+        err = np.hypot((cos - np.cos(angle)).astype(float), (sin - np.sin(angle)).astype(float))
+        assert np.all(err <= mu * np.finfo(float).eps)
+        worst = max(worst, float(np.max(err[1:] / mu[1:])))
+    print(f"worst phase error {worst / np.finfo(float).eps:.3f} mu eps")
+
+
+def slice_points(axis, offset, n):
+    """The in-ball points of an n x n slice, as ``calderon3d slice`` samples it."""
+    u = np.linspace(-1.0, 1.0, n)
+    uu, vv = (a.ravel() for a in np.meshgrid(u, u, indexing="ij"))
+    flat = np.full(n * n, offset)
+    x, y, z = {"x": (flat, uu, vv), "z": (uu, vv, flat)}[axis]
+    inside = x * x + y * y + z * z <= 1.0
+    return x[inside], y[inside], z[inside]
+
+
+def test_slices_at_L_match_psi_sums():
+    # at L the phase recurrence runs to mu = 48 at every point
+    caps = (48, 44, 40, 36, 32, 28, 24, 20)
+    field = random_field(7, caps, np.random.default_rng(4844), real_sym=True)
+    planes = [slice_points(*plane, 25) for plane in (("z", 0.0), ("z", 0.3), ("x", 0.0))]
+    # one psi_eval pass over the three slices' points
+    r, th, ph = zernike._spherical_from_cartesian(*map(np.concatenate, zip(*planes)))
+    bounds = np.cumsum([0] + [len(p[0]) for p in planes])
+    for mode in ("full", 2):
+        ref = psi_sum(field, r, th, ph, mode)
+        for (x, y, z), lo, hi in zip(planes, bounds, bounds[1:]):
+            got = synthesize_xyz(field, x, y, z, mode=mode)
+            want = ref[lo:hi]
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (lo, mode)
+
+
 @pytest.mark.parametrize("case", ["degree_3", "caps_30_26_22"])
 def test_synthesize_ball_grid_matches_pointwise(case):
     if case == "caps_30_26_22":
