@@ -16,7 +16,10 @@ at call time, and fails above 4 ulp.  The phase-recurrence check compares
 the azimuthal factors e^{i mu phi} that synthesis builds by repeated
 multiplication (``zernike._phases``, looked up at call time) with cos and
 sin of mu phi in long double, for every mu <= DEGREE_CAP, and fails above
-mu eps.
+mu eps.  The cone-synthesis check evaluates a z = 0 slice, whose rings
+share theta = pi/2 and so form cones, once whole and once in pieces too
+short for a cone, which take the per-degree ring path, and fails above
+1e-14 max|value|.
 """
 
 from __future__ import annotations
@@ -278,6 +281,25 @@ def _check_phase_recurrence(n_angles, seed):
     )
 
 
+def _check_cone_synthesis(n, caps, seed):
+    field = _random_field(len(caps) - 1, caps, np.random.default_rng(seed))
+    u = np.linspace(-1.0, 1.0, n)
+    x, y = (a.ravel() for a in np.meshgrid(u, u, indexing="ij"))
+    inside = x * x + y * y <= 1.0
+    r, th, ph = zernike._spherical_from_cartesian(x[inside], y[inside], 0.0 * x[inside])
+    cone = zernike.synthesize(field, r, th, ph)
+    # fewer than _CONE points per piece: no theta-run is long enough for a cone
+    cuts = np.arange(zernike._CONE - 1, r.size, zernike._CONE - 1)
+    ring = np.concatenate([zernike.synthesize(field, *piece)
+                           for piece in zip(*(np.split(a, cuts) for a in (r, th, ph)))])
+    gap = float(np.max(np.abs(cone - ring)) / np.max(np.abs(ring)))
+    rings = np.unique(r[th == th.max()]).size
+    return rings >= zernike._CONE and gap <= 1e-14, (
+        f"{n}^2 z = 0 slice at caps {caps}, {rings} rings on theta = pi/2: cones are within "
+        f"{gap:.1e} max|value| of the ring path (tol 1e-14; a cone needs {zernike._CONE} rings)"
+    )
+
+
 def _suite(level: str):
     if level == "quick":
         return [
@@ -291,6 +313,7 @@ def _suite(level: str):
             ("schedule validation", _check_schedules),
             ("divisor floor", lambda: _check_divisor_floor(8, 3)),
             ("phase recurrence", lambda: _check_phase_recurrence(2000, seed=13)),
+            ("cone synthesis", lambda: _check_cone_synthesis(101, (20, 16, 12), seed=14)),
         ]
     if level == "full":
         return [
@@ -304,6 +327,7 @@ def _suite(level: str):
             ("schedule validation", _check_schedules),
             ("divisor floor", lambda: _check_divisor_floor(20, 8)),
             ("phase recurrence", lambda: _check_phase_recurrence(20000, seed=13)),
+            ("cone synthesis", lambda: _check_cone_synthesis(201, (30, 26, 22), seed=14)),
         ]
     raise ValueError(f"unknown selftest level {level!r}")
 

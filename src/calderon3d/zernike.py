@@ -51,6 +51,19 @@ taken in fixed-size blocks, so no table over all points or all degrees
 is kept.  A real output (a partial sum) builds only the half of each
 degree's matrix that feeds the real part.
 
+Rings are ordered by theta, then r, so rings on one polar angle are
+contiguous.  A run of at least ``_CONE`` of them inside a ring block is a
+cone (the plane z = 0 puts every ring but the origin's on theta = pi/2).
+A cone skips the per-degree passes: its Legendre values are folded into
+the coefficient matrices once per polar angle, into one matrix over
+every (row block, order) and (degree, k), and one GEMM of that fold with
+the stacked rows R_l^k of the cone's radii gives its amplitudes.  The
+GEMM sums degrees and radial indices in one product, so a cone's values
+may differ from the per-degree path's by ~1e-15 max|value|.  Which rings
+form cones depends only on the set of distinct rings in a call: shuffled
+or duplicated points get bit-identical values, while a subset that cuts
+a run below ``_CONE`` may move by ~1e-15 max|value|.
+
 The azimuthal factors e^{i mu phi}, mu = 0..lmax, come from one cos and
 one sin per point by repeated multiplication with e^{i phi}, not from a
 cos and a sin per (mu, point).  The error of that product stays within
@@ -458,6 +471,11 @@ _BLOCK = 2048
 # Points per azimuthal sub-block: a quarter of a ring block keeps the
 # gathered amplitudes and the phase tables small next to the ring stage's.
 _POINTS = _BLOCK // 4
+# Rings per cone: a run of rings with one polar angle this long, within a
+# ring block, takes one GEMM with its fold of coefficients and Legendre values.
+# At caps 48..20 the cone overtakes the per-degree path between 256 and 512
+# rings (a fold and a radial stack cost a few ms however short the run).
+_CONE = _BLOCK // 4
 
 
 def _degree_matrices(c: CoefficientField, mode) -> dict:
@@ -553,17 +571,58 @@ def _rings(r: np.ndarray, theta: np.ndarray):
     """The distinct (r, theta) pairs of a point set.
 
     Returns ``(order, ring, start)``: ``order`` lists the points grouped
-    by pair (a stable sort on r, then theta), ``ring[j]`` is the pair
-    index of point ``order[j]``, and ``start[i]`` is the position in
-    ``order`` of pair i's first point.  Pair i sits at r[order[start[i]]],
-    theta[order[start[i]]].  A NaN equals nothing, so it is a pair of its own.
+    by pair (a stable sort on theta, then r, so pairs that share a polar
+    angle are contiguous), ``ring[j]`` is the pair index of point
+    ``order[j]``, and ``start[i]`` is the position in ``order`` of pair i's
+    first point.  Pair i sits at r[order[start[i]]], theta[order[start[i]]].
+    A NaN equals nothing, so it is a pair of its own.
     """
-    order = np.lexsort((theta, r))
+    order = np.lexsort((r, theta))
     rs, ts = r[order], theta[order]
     first = np.ones(order.size, dtype=bool)
-    np.not_equal(rs[1:], rs[:-1], out=first[1:])
-    first[1:] |= ts[1:] != ts[:-1]
+    np.not_equal(ts[1:], ts[:-1], out=first[1:])
+    first[1:] |= rs[1:] != rs[:-1]
     return order, np.cumsum(first) - 1, np.flatnonzero(first)
+
+
+def _cones(theta: np.ndarray):
+    """The runs of at least ``_CONE`` equal values in ``theta``, the polar
+    angles of a ring block in ``_rings`` order, as (start, stop) pairs."""
+    cut = np.ones(theta.size + 1, dtype=bool)  # where a run starts
+    np.not_equal(theta[1:], theta[:-1], out=cut[1:-1])
+    cuts = np.flatnonzero(cut)
+    long = np.diff(cuts) >= _CONE
+    return zip(cuts[:-1][long].tolist(), cuts[1:][long].tolist())
+
+
+def _fold(mats: dict, x: np.ndarray, blocks: int) -> np.ndarray:
+    """fold(theta) at the polar cosine ``x``, an array of one element, for
+    ``blocks`` (B) row blocks.
+
+    Row (b, mu), column (ell, k) holds M_l[(b, mu), k] P~_l^mu(x), and 0
+    for mu > ell, so fold @ the rows R_l^k(r) stacked by ``_radial_stack``
+    are the amplitudes of ``_amplitudes`` at radii r and polar cosine x.
+    """
+    lmax = max(mats)
+    fold = np.zeros((blocks, lmax + 1, sum(m.shape[1] for m in mats.values())))
+    col = 0
+    for ell, rows in enumerate(_norm_legendre_degrees(lmax, x)):
+        mat = mats.get(ell)
+        if mat is not None:
+            width = mat.shape[1]
+            fold[:, : ell + 1, col : col + width] = mat.reshape(-1, ell + 1, width) * rows
+            col += width
+    return fold.reshape(-1, col)
+
+
+def _radial_stack(mats: dict, r: np.ndarray, out: np.ndarray) -> None:
+    """Write the rows R_l^k(r) of every degree in ``mats`` into ``out``, in
+    the column order of ``_fold``."""
+    row = 0
+    for ell, mat in mats.items():
+        width = mat.shape[1]
+        out[row : row + width] = _radial_zernike_rows(ell, width - 1, r)
+        row += width
 
 
 def synthesize(c: CoefficientField, r, theta, phi, mode="full"):
@@ -575,15 +634,25 @@ def synthesize(c: CoefficientField, r, theta, phi, mode="full"):
     ValueError.
 
     Only the azimuthal factor depends on phi, so the rest runs once per
-    distinct (r, theta) pair, or ring, not once per point.  The rings
-    are taken in blocks of ``_BLOCK``: per block, every degree multiplies
-    its radial profiles by its Legendre rows and adds them into one
-    amplitude per order pair +-mu.  The points of the block's rings then
+    distinct (r, theta) pair, or ring, not once per point.  The rings,
+    ordered by theta and then r, are taken in blocks of ``_BLOCK``: per
+    block, every degree multiplies its radial profiles by its Legendre
+    rows and adds them into one amplitude per order pair +-mu, except on
+    cones, runs of at least ``_CONE`` rings with one theta, which take one
+    GEMM of the fold of that theta (``_fold``) with their stacked radial
+    rows (``_radial_stack``).  The points of the block's rings then
     gather their ring's amplitudes, ``_BLOCK // 4`` points at a time, and
     apply cos(mu phi) and sin(mu phi), built by the recurrence of
     ``_phases`` (within mu eps of exact).  Points on distinct rings are
     the case of one point per ring.  Besides the output and a few index
-    arrays over the points, memory stays bounded for any number of points.
+    arrays over the points, memory stays bounded for any number of points:
+    the radial stack is as wide as a ring block, at most ``_BLOCK``, and
+    only the last cone's fold is kept.
+
+    A point's value depends on the set of distinct rings in the call, not
+    on the order or repetition of the points: shuffled or duplicated
+    points give bit-identical values.  A subset that shortens a theta-run
+    below ``_CONE`` may move its values by ~1e-15 max|value|.
     """
     mats = _degree_matrices(c, mode)
     r_a, th_a, ph_a = np.broadcast_arrays(
@@ -592,21 +661,44 @@ def synthesize(c: CoefficientField, r, theta, phi, mode="full"):
     scalar, shape = r_a.ndim == 0, r_a.shape
     rf, tf, pf = r_a.ravel(), th_a.ravel(), ph_a.ravel()
     lmax = max(mats, default=0)
+    blocks = 4 if mode == "full" else 2
     out = np.empty(rf.shape, dtype=complex if mode == "full" else float)
     order, ring, start = _rings(rf, tf)
     start = np.append(start, order.size)
     n_rings = start.size - 1
     # one amplitude buffer serves every ring block, so the heap keeps its
     # shape from block to block; regrowing it costs a page fault per page
-    amp_all = np.empty((4 if mode == "full" else 2, lmax + 1, max(min(n_rings, _BLOCK), 2)))
+    amp_all = np.empty((blocks * (lmax + 1), max(min(n_rings, _BLOCK), 2)))
+    # the radial stack, allocated at the first cone, and the fold of the
+    # last cone's theta: rings are theta-major, so a theta's cones are
+    # consecutive.  Inputs without cones allocate neither.
+    stack = fold = fold_theta = None
     for lo in range(0, n_rings, _BLOCK):
         hi = min(lo + _BLOCK, n_rings)
+        at_ring = order[start[lo:hi]]  # one point per ring
+        flat = amp_all[:, : max(hi - lo, 2)]
+        amp = flat.reshape(blocks, lmax + 1, -1)
+        rest = np.ones(hi - lo, dtype=bool)
+        for i, j in _cones(tf[at_ring]) if mats else ():
+            if stack is None:
+                stack = np.empty((sum(m.shape[1] for m in mats.values()), amp_all.shape[1]))
+            if tf[at_ring[i]] != fold_theta:
+                fold_theta = tf[at_ring[i]]
+                fold = _fold(mats, np.cos(tf[at_ring[i : i + 1]]), blocks)
+            _radial_stack(mats, rf[at_ring[i:j]], stack[:, : j - i])
+            np.matmul(fold, stack[:, : j - i], out=flat[:, i:j])
+            rest[i:j] = False
         # A lone ring or point would take BLAS's matrix-vector route and
         # numpy's strided reduction, which round differently from a block;
         # repeated once, it makes two columns and rounds as inside a block.
-        at = np.resize(order[start[lo:hi]], max(hi - lo, 2))
-        amp = amp_all[:, :, : at.size]
-        _amplitudes(mats, rf[at], np.cos(tf[at]), amp)
+        if rest.all():
+            at = np.resize(at_ring, max(hi - lo, 2))
+            _amplitudes(mats, rf[at], np.cos(tf[at]), amp)
+        elif rest.any():
+            at = np.resize(at_ring[rest], max(np.count_nonzero(rest), 2))
+            part = np.empty((blocks, lmax + 1, at.size))
+            _amplitudes(mats, rf[at], np.cos(tf[at]), part)
+            amp[:, :, rest] = part[:, :, : np.count_nonzero(rest)]
         for first in range(start[lo], start[hi], _POINTS):
             pts = slice(first, min(first + _POINTS, start[hi]))
             width = max(pts.stop - pts.start, 2)

@@ -384,7 +384,7 @@ def test_pipeline_closure_reconstructed_slice_matches_projection(tmp_path):
 def test_selftest_quick_passes(capsys):
     assert run(["selftest", "--level", "quick"]) == 0
     out = capsys.readouterr().out
-    assert "OK: 10/10" in out
+    assert "OK: 11/11" in out
 
 
 def test_selftest_catches_a_gaunt_sign_flip(monkeypatch):

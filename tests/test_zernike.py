@@ -448,17 +448,23 @@ def slice_points(axis, offset, n):
 
 
 def test_slices_at_L_match_psi_sums():
-    # at L the phase recurrence runs to mu = 48 at every point
+    # at L the phase recurrence runs to mu = 48 at every point.  The 201^2
+    # z = 0 slice puts 5,310 rings on theta = pi/2, which the ring stage takes
+    # as cones; 100 of its points are compared.
     caps = (48, 44, 40, 36, 32, 28, 24, 20)
     field = random_field(7, caps, np.random.default_rng(4844), real_sym=True)
     planes = [slice_points(*plane, 25) for plane in (("z", 0.0), ("z", 0.3), ("x", 0.0))]
-    # one psi_eval pass over the three slices' points
+    big = slice_points("z", 0.0, 201)
+    sample = np.random.default_rng(201).choice(big[0].size, 100, replace=False)
+    planes.append(tuple(a[sample] for a in big))
+    # one psi_eval pass over the four point sets
     r, th, ph = zernike._spherical_from_cartesian(*map(np.concatenate, zip(*planes)))
     bounds = np.cumsum([0] + [len(p[0]) for p in planes])
     for mode in ("full", 2):
         ref = psi_sum(field, r, th, ph, mode)
-        for (x, y, z), lo, hi in zip(planes, bounds, bounds[1:]):
-            got = synthesize_xyz(field, x, y, z, mode=mode)
+        outs = [synthesize_xyz(field, *plane, mode=mode) for plane in planes[:-1]]
+        outs.append(synthesize_xyz(field, *big, mode=mode)[sample])
+        for got, lo, hi in zip(outs, bounds, bounds[1:]):
             want = ref[lo:hi]
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (lo, mode)
 
@@ -530,21 +536,28 @@ def test_synthesize_rejects_negative_boolean_and_non_integer_modes(mode):
 
 def test_synthesis_working_memory_is_bounded_in_the_point_count():
     # doubling the points may grow the peak by the output and a few per-point
-    # arrays, not by tables over every point
+    # arrays, not by tables over every point.  On one polar angle every ring
+    # block is a cone, whose radial stack and fold are bounded by the block.
     field = random_field(2, (20, 16, 12), np.random.default_rng(201612))
     rng = np.random.default_rng(7)
 
-    def peak(n):
-        x, y, z = rng.uniform(-0.57, 0.57, size=(3, n))
+    def scattered(n):
+        synthesize_xyz(field, *rng.uniform(-0.57, 0.57, size=(3, n)))
+
+    def one_theta(n):
+        synthesize(field, rng.uniform(0, 1, n), np.full(n, 1.1), rng.uniform(0, 2 * math.pi, n))
+
+    def peak(evaluate, n):
         tracemalloc.start()
         try:
-            synthesize_xyz(field, x, y, z)
+            evaluate(n)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     output_growth = 50_000 * np.dtype(complex).itemsize
-    assert peak(100_000) - peak(50_000) <= 8 * output_growth
+    for evaluate in (scattered, one_theta):
+        assert peak(evaluate, 100_000) - peak(evaluate, 50_000) <= 8 * output_growth, evaluate
 
 
 def ring_points(rng, n_rings, n):
@@ -577,6 +590,39 @@ def test_a_points_value_does_not_depend_on_its_batch():
             assert np.array_equal(got, ref[sub]), (mode, size)
         for i in rng.choice(n, 3, replace=False):
             assert synthesize(field, r[i], th[i], ph[i], mode=mode) == ref[i]
+    # cones: two polar angles with more rings each than a block holds, among
+    # random rings; shuffles and duplicates keep every cone
+    r, th, ph = cone_points(rng, (math.pi / 2, 0.7), zernike._BLOCK + 300, 1500)
+    n = r.size
+    for mode in ("full", 1):
+        ref = synthesize(field, r, th, ph, mode=mode)
+        perm = rng.permutation(n)
+        assert np.array_equal(synthesize(field, r[perm], th[perm], ph[perm], mode=mode), ref[perm])
+        dup = np.concatenate([np.arange(n), rng.integers(0, n, 700)])
+        assert np.array_equal(synthesize(field, r[dup], th[dup], ph[dup], mode=mode), ref[dup])
+
+
+def cone_points(rng, thetas, n_cone, n_other):
+    """``n_cone`` rings at random radii on each polar angle in ``thetas``,
+    then ``n_other`` random rings, one point each at a random azimuth."""
+    th = np.concatenate([np.repeat(thetas, n_cone), rng.uniform(0, math.pi, n_other)])
+    return rng.uniform(0, 1, th.size), th, rng.uniform(0, 2 * math.pi, th.size)
+
+
+def test_cones_match_the_ring_path():
+    # pieces of fewer than _CONE points hold theta-runs too short for a cone, so
+    # they take the per-degree ring path.  The random rings below theta = 3
+    # fill the first ring block, so the first cone starts in a later one.
+    rng = np.random.default_rng(2016)
+    field = random_field(2, (20, 16, 12), rng)
+    r, th, ph = cone_points(rng, (3.0, 3.1), zernike._BLOCK + 700, 2600)
+    assert np.count_nonzero(th < 3.0) > zernike._BLOCK
+    pieces = np.arange(zernike._CONE - 1, r.size, zernike._CONE - 1)
+    for mode in ("full", 1):
+        cone = synthesize(field, r, th, ph, mode=mode)
+        ring = np.concatenate([synthesize(field, *p, mode=mode)
+                               for p in zip(*(np.split(a, pieces) for a in (r, th, ph)))])
+        assert np.max(np.abs(cone - ring)) <= 1e-14 * np.max(np.abs(ring)), mode
 
 
 def test_ring_stage_runs_once_per_distinct_ring(monkeypatch):
@@ -600,11 +646,25 @@ def test_ring_stage_runs_once_per_distinct_ring(monkeypatch):
     inside = x * x + y * y <= 1.0
     x, y, z = x[inside], y[inside], np.zeros(int(inside.sum()))
     r, th, _ = zernike._spherical_from_cartesian(x, y, z)
+    radii = {}
+    rows = zernike._radial_zernike_rows
+
+    def counting_rows(ell, kmax, r):
+        radii.setdefault(ell, []).append(r)
+        return rows(ell, kmax, r)
+
+    monkeypatch.setattr(zernike, "_radial_zernike_rows", counting_rows)
     received.clear()
     synthesize_xyz(field, x, y, z)
     rings = len(set(zip(r.tolist(), th.tolist())))
     print(f"z = 0 slice: {x.size} points on {rings} rings")
-    assert sum(received) == rings < x.size // 5
+    # every ring but the origin's lies on theta = pi/2, a cone: only the
+    # origin ring, repeated to two columns, reaches the per-degree path, and
+    # each degree evaluates its radial rows once per distinct radius
+    assert received == [2] and rings == np.unique(r).size < x.size // 5
+    assert sorted(radii) == list(range(7))
+    for evaluated in radii.values():
+        assert np.array_equal(np.sort(np.concatenate(evaluated)), np.append(0.0, np.unique(r)))
 
 
 def test_ring_heavy_synthesis_keeps_working_memory_bounded():
