@@ -127,7 +127,7 @@ def _oracle_values(eta_cube: np.ndarray, caps: tuple, quad: BallQuadrature) -> n
     x = np.cos(quad.theta)
     sin2 = (1.0 - x) * (1.0 + x)
     bmax = max(cap + k + 1 for k, cap in enumerate(caps))
-    table = specfun._norm_legendre_table(bmax, x, lmax)  # [mu, b], b = 0..bmax
+    table = specfun._norm_legendre_table(bmax, x)  # [mu, b], mu, b = 0..bmax
     zonal = table[0, : len(caps) + 1]  # rows a = 0..K+1
     dzonal = specfun._norm_legendre_sin_dtheta(0, zonal, x) * quad.theta_weights / sin2
     zonal = zonal * quad.theta_weights

@@ -81,6 +81,11 @@ class BallQuadrature:
     r: np.ndarray = field(init=False, repr=False)
     r_weights: np.ndarray = field(init=False, repr=False)
     sphere: SphereQuadrature = field(init=False, repr=False)
+    # the sphere rule's arrays, shared with ``sphere``
+    theta: np.ndarray = field(init=False, repr=False)
+    theta_weights: np.ndarray = field(init=False, repr=False)
+    phi: np.ndarray = field(init=False, repr=False)
+    phi_weight: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n_r < 1:
@@ -89,23 +94,10 @@ class BallQuadrature:
         r = 0.5 * (x + 1.0)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "r_weights", 0.5 * w * r * r)
-        object.__setattr__(self, "sphere", SphereQuadrature(self.n_theta, self.n_phi))
-
-    @property
-    def theta(self) -> np.ndarray:
-        return self.sphere.theta
-
-    @property
-    def theta_weights(self) -> np.ndarray:
-        return self.sphere.theta_weights
-
-    @property
-    def phi(self) -> np.ndarray:
-        return self.sphere.phi
-
-    @property
-    def phi_weight(self) -> float:
-        return self.sphere.phi_weight
+        sphere = SphereQuadrature(self.n_theta, self.n_phi)
+        object.__setattr__(self, "sphere", sphere)
+        for name in ("theta", "theta_weights", "phi", "phi_weight"):
+            object.__setattr__(self, name, getattr(sphere, name))
 
     def weight_sum(self) -> float:
         return float(

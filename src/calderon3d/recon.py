@@ -53,7 +53,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import specfun
-from .zernike import CoefficientField, ZernikeIndex, _bases, _unpack
+from .zernike import CoefficientField, _bases, _unpack, as_caps
 
 __all__ = [
     "TruncationSchedule",
@@ -109,19 +109,14 @@ class TruncationSchedule:
     caps: tuple
 
     def __post_init__(self) -> None:
-        caps = tuple(int(c) for c in self.caps)
-        if not caps:
+        if not len(self.caps):
             raise ValueError("schedule needs at least one cap")
-        if any(c < 0 for c in caps):
-            raise ValueError("degree caps must be nonnegative")
-        object.__setattr__(self, "caps", caps)
+        # the caps rule of every field: at most DEGREE_CAP + 1 caps, each in 0..DEGREE_CAP
+        object.__setattr__(self, "caps", as_caps(len(self.caps) - 1, self.caps))
 
     @property
     def K(self) -> int:
         return len(self.caps) - 1
-
-    def feasible(self) -> bool:
-        return not validate_schedule(self)
 
 
 @dataclass(frozen=True)
@@ -234,15 +229,6 @@ class CouplingOperator:
     col_caps: tuple
     col_base: tuple  # col_base[q]: flat index of column (q, 0, 0); last entry is the width
     stages: tuple
-
-    @property
-    def keys(self) -> tuple:
-        """The ZernikeIndex of every row, in row order; the solve never needs them."""
-        k, ell, m = _unpack(_bases(self.caps), np.arange(_bases(self.caps)[-1]))
-        return tuple(map(ZernikeIndex, k.tolist(), ell.tolist(), m.tolist()))
-
-    def column(self, q: int, ell: int, m: int) -> int:
-        return self.col_base[q] + ell * (ell + 1) + m
 
 
 def _frozen(values, dtype) -> np.ndarray:

@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,15 +44,7 @@ from .recon import (
 )
 from .zernike import CoefficientField, _bases, as_caps, basis_gram
 
-__all__ = ["CheckResult", "run_selftest"]
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-    seconds: float
+__all__ = ["run_selftest"]
 
 
 def _random_field(kmax, caps, rng):
@@ -344,13 +335,13 @@ def run_selftest(level: str = "quick", stream=None) -> bool:
         except Exception as exc:  # a crash is a failure, not an abort
             passed, detail = False, f"raised {exc!r}"
         elapsed = time.perf_counter() - start
-        results.append(CheckResult(name, passed, detail, elapsed))
+        results.append((passed, elapsed))
         status = "PASS" if passed else "FAIL"
         print(f"{status}  {name}: {detail}  [{elapsed:.2f}s]", file=stream)
-    ok = all(r.passed for r in results)
-    total = sum(r.seconds for r in results)
+    ok = all(passed for passed, _ in results)
+    total = sum(seconds for _, seconds in results)
     print(
-        f"{'OK' if ok else 'FAILED'}: {sum(r.passed for r in results)}/{len(results)} "
+        f"{'OK' if ok else 'FAILED'}: {sum(passed for passed, _ in results)}/{len(results)} "
         f"checks passed at level {level!r} in {total:.1f}s",
         file=stream,
     )

@@ -147,19 +147,17 @@ def _norm_legendre_degrees(lmax: int, x: np.ndarray):
         prev2, prev = prev, cur
 
 
-def _norm_legendre_table(lmax: int, x: np.ndarray, mu_max: int | None = None) -> np.ndarray:
-    """Table T[mu, ell] = P~_ell^mu(x) for mu = 0..mu_max, ell = 0..lmax.
+def _norm_legendre_table(lmax: int, x: np.ndarray) -> np.ndarray:
+    """Table T[mu, ell] = P~_ell^mu(x) for mu, ell = 0..lmax.
 
     Filled by one degree-major pass of ``_norm_legendre_degrees``, so
     T[mu, mu:] is bit-identical to ``_norm_legendre_sweep(mu, lmax, x)``
     and each |m| is computed once; entries with ell < mu are exact zeros.
-    ``mu_max`` defaults to ``lmax``.
     """
     x = np.asarray(x, dtype=float)
-    mu_max = lmax if mu_max is None else mu_max
-    table = np.zeros((mu_max + 1, lmax + 1) + x.shape)
+    table = np.zeros((lmax + 1, lmax + 1) + x.shape)
     for ell, rows in enumerate(_norm_legendre_degrees(lmax, x)):
-        table[: min(ell, mu_max) + 1, ell] = rows[: mu_max + 1]
+        table[: ell + 1, ell] = rows
     return table
 
 

@@ -342,9 +342,6 @@ class CoefficientField:
         """Stored value, or ``default`` for an absent index."""
         return self.entries.get(ZernikeIndex(k, ell, m), default)
 
-    def items_sorted(self):
-        return self.entries.items()
-
     def _relaid(self, caps: tuple):
         """``(data, present)`` in the packed layout of the caps tuple ``caps``:
         indices past those caps are dropped, and indices past this field's

@@ -52,7 +52,7 @@ def test_single_low_order_entry_hits_the_expected_couplings():
     L, M = 4, -2
     c = CoefficientField({(0, L, M): 1.0}, 0, L)
     ms = forward_measure(c, 2, L)
-    for idx, val in ms.items_sorted():
+    for idx, val in ms.entries.items():
         k, ell, m = idx.k, idx.ell, idx.m
         if m == M and (L - ell) % 2 == 0 and 0 <= (L - ell) // 2 <= k:
             s = (L - ell) // 2
@@ -153,7 +153,7 @@ def test_measurement_set_helpers():
     ms = MeasurementSet({(0, 1, -1): 2.0, (0, 0, 0): 1j}, 0, 1)
     assert ms.get(0, 1, 1) == 0
     assert ms.get(0, 1, 1, default=None) is None
-    assert [i.m for i, _ in ms.items_sorted()] == [0, -1]
+    assert [i.m for i, _ in ms.entries.items()] == [0, -1]
     assert ms.rms() == pytest.approx(math.sqrt((4 + 1) / 2), rel=1e-15)
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from calderon3d import recon, specfun
+from calderon3d import cli, recon, specfun
 from calderon3d.forward import forward_measure, MeasurementSet
 from calderon3d.recon import (
     DivisorUnderflowWarning,
@@ -22,6 +22,7 @@ from calderon3d.recon import (
     tau,
     validate_schedule,
 )
+from calderon3d.serialize import dump_measurement_set
 from calderon3d.zernike import CoefficientField, ZernikeIndex
 
 from reference import big_d, big_q_factored, order_free_factor_fraction, tau_expanded
@@ -159,16 +160,37 @@ def test_schedule_basics():
         TruncationSchedule((3, -1))
 
 
+def test_schedule_caps_follow_the_field_rule():
+    # at most DEGREE_CAP + 1 caps of at most DEGREE_CAP each, as for any field,
+    # so validate_schedule never lists more than 129 * 128 / 2 violations
+    assert TruncationSchedule((0,) * (specfun.DEGREE_CAP + 1)).K == specfun.DEGREE_CAP
+    with pytest.raises(ValueError, match="DEGREE_CAP"):
+        TruncationSchedule((0,) * 130)
+    with pytest.raises(ValueError, match="DEGREE_CAP"):
+        TruncationSchedule((specfun.DEGREE_CAP + 1,))
+
+
+def test_reconstruct_cli_rejects_an_overlong_schedule_at_once(tmp_path, capsys):
+    # 200 zero caps would otherwise be judged infeasible through 19,900 violations
+    ms = tmp_path / "ms.json"
+    dump_measurement_set(forward_measure(CoefficientField({(0, 0, 0): 1.0}, 0, 0), 0, 0), ms)
+    out = tmp_path / "rec.json"
+    code = cli.main(["reconstruct", "--measurements", str(ms), "--schedule", ",".join(["0"] * 200),
+                     "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "DEGREE_CAP" in err[0]
+    assert not out.exists()
+
+
 def test_demo_schedules_are_feasible():
     assert validate_schedule(TruncationSchedule((20, 18, 16, 14, 12, 10, 8, 6))) == []
     assert validate_schedule(TruncationSchedule((16, 11, 7, 5, 3))) == []
-    assert TruncationSchedule((16, 11, 7, 5, 3)).feasible()
 
 
 def test_uniform_schedule_is_infeasible():
     violations = validate_schedule(TruncationSchedule((4, 4)))
     assert violations == [ScheduleViolation(q=0, k=1, required=6, actual=4)]
-    assert not TruncationSchedule((4, 4)).feasible()
 
 
 def test_schedule_violation_reports_every_unmet_demand():
@@ -356,22 +378,24 @@ def test_order_free_factor_equals_its_rational_form():
 def test_operator_entries_equal_big_q():
     caps = (8, 6, 4, 2)
     op = coupling_operator(caps)
+    # columns and rows are packed layouts: (q, ell, m) at base[q] + ell(ell+1) + m
     column = {
-        op.column(q, ell, m): (q, ell, m)
+        op.col_base[q] + ell * (ell + 1) + m: (q, ell, m)
         for q in range(len(caps))
         for ell in range(op.col_caps[q] + 1)
         for m in range(-ell, ell + 1)
     }
-    assert op.keys == tuple(
+    keys = [
         ZernikeIndex(k, ell, m)
         for k, cap in enumerate(caps)
         for ell in range(cap + 1)
         for m in range(-ell, ell + 1)
-    )
+    ]
+    assert op.stages[-1].start + op.stages[-1].size == len(keys)
     for k, st in enumerate(op.stages):
         assert st.cols.shape == st.vals.shape == ((k + 1) * (k + 2) // 2, st.size)
         for row in range(st.size):
-            idx = op.keys[st.start + row]
+            idx = keys[st.start + row]
             assert idx.k == k
             # the last term is the divisor, on the measurement's own coefficient
             assert column[int(st.cols[-1, row])] == (k, idx.ell, idx.m)
