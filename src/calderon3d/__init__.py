@@ -69,7 +69,6 @@ from .serialize import (
     load_recon_report,
     dump_grid_slice,
 )
-from .selftest import run_selftest
 
 __all__ = [
     "sph_harm",
@@ -115,7 +114,6 @@ __all__ = [
     "dump_recon_report",
     "load_recon_report",
     "dump_grid_slice",
-    "run_selftest",
 ]
 
 __version__ = "0.1.0"

@@ -35,7 +35,6 @@ from .recon import (
     TruncationSchedule,
     reconstruct,
 )
-from .selftest import run_selftest
 from .serialize import (
     GridSlice,
     dump_coefficient_field,
@@ -99,9 +98,10 @@ def _parse_plane(text: str) -> tuple:
 
 
 def _add_quad_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--quad-radial", type=int, default=48, metavar="N", help="radial Gauss nodes")
-    p.add_argument("--quad-theta", type=int, default=64, metavar="N", help="polar Gauss nodes")
-    p.add_argument("--quad-phi", type=int, default=128, metavar="N", help="azimuthal nodes")
+    q = BallQuadrature
+    p.add_argument("--quad-radial", type=int, default=q.n_r, metavar="N", help="radial Gauss nodes")
+    p.add_argument("--quad-theta", type=int, default=q.n_theta, metavar="N", help="polar Gauss nodes")
+    p.add_argument("--quad-phi", type=int, default=q.n_phi, metavar="N", help="azimuthal nodes")
 
 
 def _add_phantom_flags(p: argparse.ArgumentParser) -> None:
@@ -113,21 +113,21 @@ def _add_phantom_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--center",
         type=_parse_vector,
-        default=(0.0, 0.3, 0.0),
+        default=PhantomSpec.center,
         metavar="X,Y,Z",
         help="gaussian center, inside the closed unit ball (default 0,0.3,0)",
     )
     p.add_argument(
         "--sharpness",
         type=float,
-        default=50.0,
+        default=PhantomSpec.sharpness,
         metavar="A",
         help="gaussian decay rate in exp(-A |x-c|^2) (default 50)",
     )
     p.add_argument(
         "--index",
         type=_parse_index,
-        default=(0, 0, 0),
+        default=PhantomSpec.index,
         metavar="K,L,M",
         help="basis-phantom index (default 0,0,0)",
     )
@@ -224,7 +224,7 @@ def cmd_slice(args) -> int:
     flat = np.full(n * n, offset)
     planes = {"x": (flat, uu.ravel(), vv.ravel()), "y": (uu.ravel(), flat, vv.ravel()),
               "z": (uu.ravel(), vv.ravel(), flat)}
-    x, y, z = (a.copy() for a in planes[axis])
+    x, y, z = planes[axis]
     inside = x * x + y * y + z * z <= 1.0
     values = np.full(n * n, np.nan)
     values[inside] = synthesize_xyz(field, x[inside], y[inside], z[inside], mode=mode)
@@ -243,6 +243,8 @@ def cmd_slice(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from .selftest import run_selftest
+
     return EXIT_OK if run_selftest(args.level) else EXIT_SELFTEST
 
 

@@ -105,7 +105,10 @@ class BallQuadrature:
         )
 
     def cartesian_grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Cartesian node coordinates, each of shape (n_r, n_theta, n_phi)."""
+        """Cartesian node coordinates, each of shape (n_r, n_theta, n_phi).
+
+        z does not vary with phi, so it is a read-only broadcast view.
+        """
         r = self.r[:, None, None]
         st = np.sin(self.theta)[None, :, None]
         ct = np.cos(self.theta)[None, :, None]
@@ -113,7 +116,7 @@ class BallQuadrature:
         sp = np.sin(self.phi)[None, None, :]
         x = r * st * cp
         y = r * st * sp
-        z = np.broadcast_to(r * ct, x.shape).copy()
+        z = np.broadcast_to(r * ct, x.shape)
         return x, y, z
 
     def integrate(self, values: np.ndarray) -> complex:

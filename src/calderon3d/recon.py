@@ -225,7 +225,6 @@ class CouplingOperator:
     schedules.
     """
 
-    caps: tuple
     col_caps: tuple
     col_base: tuple  # col_base[q]: flat index of column (q, 0, 0); last entry is the width
     stages: tuple
@@ -299,7 +298,7 @@ def coupling_operator(caps: tuple) -> CouplingOperator:
             )
         )
         start += ell.size
-    return CouplingOperator(caps, col_caps, col_base, tuple(stages))
+    return CouplingOperator(col_caps, col_base, tuple(stages))
 
 
 def validate_schedule(schedule: TruncationSchedule) -> list:

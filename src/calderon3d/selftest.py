@@ -291,47 +291,37 @@ def _check_cone_synthesis(n, caps, seed):
     )
 
 
-def _suite(level: str):
-    if level == "quick":
-        return [
-            ("quadrature weight sum", _check_weight_sum),
-            ("sphere orthonormality", lambda: _check_sphere_orthonormality(6)),
-            ("ball orthonormality", lambda: _check_ball_orthonormality(6)),
-            ("gaunt selection", lambda: _check_gaunt_selection(4)),
-            ("surface-gradient identity", lambda: _check_gradient_identity(10, 4, seed=11)),
-            ("oracle equivalence", _check_oracle_quick),
-            ("round trip", lambda: _check_round_trip(2, 3, 8, seed=12)),
-            ("schedule validation", _check_schedules),
-            ("divisor floor", lambda: _check_divisor_floor(8, 3)),
-            ("phase recurrence", lambda: _check_phase_recurrence(2000, seed=13)),
-            ("cone synthesis", lambda: _check_cone_synthesis(101, (20, 16, 12), seed=14)),
-        ]
-    if level == "full":
-        return [
-            ("quadrature weight sum", _check_weight_sum),
-            ("sphere orthonormality", lambda: _check_sphere_orthonormality(10)),
-            ("ball orthonormality", lambda: _check_ball_orthonormality(10)),
-            ("gaunt selection", lambda: _check_gaunt_selection(8)),
-            ("surface-gradient identity", lambda: _check_gradient_identity(50, 6, seed=11)),
-            ("oracle equivalence", lambda: _check_oracle_single_basis(3, 6)),
-            ("round trip", lambda: _check_round_trip(20, 5, 14, seed=12)),
-            ("schedule validation", _check_schedules),
-            ("divisor floor", lambda: _check_divisor_floor(20, 8)),
-            ("phase recurrence", lambda: _check_phase_recurrence(20000, seed=13)),
-            ("cone synthesis", lambda: _check_cone_synthesis(201, (30, 26, 22), seed=14)),
-        ]
-    raise ValueError(f"unknown selftest level {level!r}")
+# Each check once, in run order: its name, then the check and its arguments
+# at level "quick" and at level "full".
+_SUITE = (
+    ("quadrature weight sum", (_check_weight_sum,), (_check_weight_sum,)),
+    ("sphere orthonormality", (_check_sphere_orthonormality, 6), (_check_sphere_orthonormality, 10)),
+    ("ball orthonormality", (_check_ball_orthonormality, 6), (_check_ball_orthonormality, 10)),
+    ("gaunt selection", (_check_gaunt_selection, 4), (_check_gaunt_selection, 8)),
+    ("surface-gradient identity",
+     (_check_gradient_identity, 10, 4, 11), (_check_gradient_identity, 50, 6, 11)),
+    ("oracle equivalence", (_check_oracle_quick,), (_check_oracle_single_basis, 3, 6)),
+    ("round trip", (_check_round_trip, 2, 3, 8, 12), (_check_round_trip, 20, 5, 14, 12)),
+    ("schedule validation", (_check_schedules,), (_check_schedules,)),
+    ("divisor floor", (_check_divisor_floor, 8, 3), (_check_divisor_floor, 20, 8)),
+    ("phase recurrence", (_check_phase_recurrence, 2000, 13), (_check_phase_recurrence, 20000, 13)),
+    ("cone synthesis",
+     (_check_cone_synthesis, 101, (20, 16, 12), 14), (_check_cone_synthesis, 201, (30, 26, 22), 14)),
+)
 
 
 def run_selftest(level: str = "quick", stream=None) -> bool:
     """Run the consistency suite; print one line per check, return overall."""
+    if level not in ("quick", "full"):
+        raise ValueError(f"unknown selftest level {level!r}")
     if stream is None:
         stream = sys.stdout
     results = []
-    for name, fn in _suite(level):
+    for name, quick, full in _SUITE:
+        check, *args = full if level == "full" else quick
         start = time.perf_counter()
         try:
-            passed, detail = fn()
+            passed, detail = check(*args)
         except Exception as exc:  # a crash is a failure, not an abort
             passed, detail = False, f"raised {exc!r}"
         elapsed = time.perf_counter() - start

@@ -19,9 +19,10 @@ final square root is rounded to floating point.  Gaunt coefficients
                             = sqrt((2l1+1)(2l2+1)(2l3+1)/(4 pi))
                               * (l1 l2 l3; 0 0 0) * (l1 l2 l3; m1 m2 m3)
 
-are assembled from the same exact squares, so their relative accuracy
-stays near machine precision.  This exact path is the reference that the
-tests and the self-test check against.
+are assembled from exact squares, the zero-order one from its closed form
+(DLMF 34.3.5) and the other from the Racah sum, so their relative accuracy
+stays near machine precision.  This exact path keeps no cache; it is the
+reference that the tests and the self-test check against.
 
 The coupling constants need only the family
 G_{k+1, l+k+1, l+2s}^{0,-m,m}.  ``coupling_gaunts`` evaluates it for a
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial, isqrt
 
 import numpy as np
@@ -182,13 +182,13 @@ def _norm_legendre_sin_dtheta(m: int, sweep: np.ndarray, x) -> np.ndarray:
     return out
 
 
-def _negative_order_sign(m: int) -> float:
+def _negative_order_sign(m):
     """Sign s with Y_l^m = s P~_l^{|m|}(cos theta) e^{i m phi}: -1 for odd m < 0.
 
     This is the Condon-Shortley phase carried to negative orders by
-    conj(Y_l^m) = (-1)^m Y_l^{-m}.
+    conj(Y_l^m) = (-1)^m Y_l^{-m}.  ``m`` is an int or an int array.
     """
-    return -1.0 if m < 0 and m % 2 else 1.0
+    return np.where((m < 0) & (m % 2 == 1), -1.0, 1.0)
 
 
 def sph_harm(ell: int, m: int, theta, phi):
@@ -262,10 +262,6 @@ def _sqrt_fraction_wide(fr: Fraction) -> np.longdouble:
     return np.ldexp(np.longdouble(q >> drop), drop - shift)
 
 
-# bounded: only the exact path (the tests' oracle and the self-test) comes
-# here, never an operator build; its one reuse is the zero-order symbol
-# across consecutive m in gaunt, so a few hundred entries catch every hit
-@lru_cache(maxsize=256)
 def _w3j_signed_square(j1: int, j2: int, j3: int, m1: int, m2: int, m3: int):
     """Sign and exact square of a 3j symbol, selection rules already checked.
 
@@ -302,14 +298,15 @@ def _w3j_signed_square(j1: int, j2: int, j3: int, m1: int, m2: int, m3: int):
 def _w3j_zero_square(j1: int, j2: int, j3: int, fact) -> Fraction:
     """Exact square of (j1 j2 j3; 0 0 0) for an even degree sum J = 2g that
     passes the triangle: (J-2j1)! (J-2j2)! (J-2j3)! / (J+1)! times
-    (g! / ((g-j1)! (g-j2)! (g-j3)!))^2, with fact[n] = n!."""
+    (g! / ((g-j1)! (g-j2)! (g-j3)!))^2, with fact(n) = n! (DLMF 34.3.5).
+    The symbol's sign is (-1)^g."""
     J = j1 + j2 + j3
     g = J // 2
-    top = fact[g]
-    bottom = fact[g - j1] * fact[g - j2] * fact[g - j3]
+    top = fact(g)
+    bottom = fact(g - j1) * fact(g - j2) * fact(g - j3)
     return Fraction(
-        fact[J - 2 * j1] * fact[J - 2 * j2] * fact[J - 2 * j3] * top * top,
-        fact[J + 1] * bottom * bottom,
+        fact(J - 2 * j1) * fact(J - 2 * j2) * fact(J - 2 * j3) * top * top,
+        fact(J + 1) * bottom * bottom,
     )
 
 
@@ -366,7 +363,7 @@ def coupling_gaunts(k, s, ell) -> np.ndarray:
     # sqrt((2j1+1)(2j2+1)(2j3+1)) (j1 j2 j3; 0 0 0)^2 per row, to 64 bits
     pref = []
     for d1, d2, d3 in zip(j1.tolist(), j2.tolist(), j3.tolist()):
-        zero = _w3j_zero_square(d1, d2, d3, fact)
+        zero = _w3j_zero_square(d1, d2, d3, fact.__getitem__)
         pref.append(_sqrt_fraction_wide(zero**2 * ((2 * d1 + 1) * (2 * d2 + 1) * (2 * d3 + 1))))
     pref = np.array(pref)
 
@@ -451,14 +448,12 @@ def gaunt(ell1: int, ell2: int, ell3: int, m1: int, m2: int, m3: int) -> float:
         raise OverflowError(f"Gaunt degree exceeds cap {DEGREE_CAP}")
     if abs(m1) > ell1 or abs(m2) > ell2 or abs(m3) > ell3:
         return 0.0
-    s0, v0 = _w3j_signed_square(ell1, ell2, ell3, 0, 0, 0)
-    if v0 == 0:
-        return 0.0
     sm, vm = _w3j_signed_square(ell1, ell2, ell3, m1, m2, m3)
     if vm == 0:
         return 0.0
-    # phases: (-1)^(l1-l2) from the zero-order symbol, (-1)^(l1-l2-m3)
-    # from the general one; together (-1)^m3 since 2(l1-l2) is even.
-    phase = -1 if m3 % 2 else 1
+    # (l1 l2 l3; 0 0 0) = (-1)^(J/2) sqrt(v0), never 0 under the selection rules,
+    # and the general symbol is (-1)^(l1-l2-m3) sm sqrt(vm)
+    v0 = _w3j_zero_square(ell1, ell2, ell3, factorial)
+    phase = -1 if ((ell1 + ell2 + ell3) // 2 + ell1 - ell2 - m3) % 2 else 1
     n = Fraction((2 * ell1 + 1) * (2 * ell2 + 1) * (2 * ell3 + 1))
-    return phase * s0 * sm * _sqrt_fraction(v0 * vm * n) / math.sqrt(4.0 * math.pi)
+    return phase * sm * _sqrt_fraction(v0 * vm * n) / math.sqrt(4.0 * math.pi)

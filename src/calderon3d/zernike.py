@@ -135,7 +135,8 @@ def as_caps(kmax: int, caps) -> tuple[int, ...]:
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     if kmax > DEGREE_CAP:
-        raise ValueError(f"kmax {kmax} exceeds DEGREE_CAP = {DEGREE_CAP}")
+        raise ValueError(f"{kmax + 1} per-k degree caps (radial indices k = 0..{kmax}) "
+                         f"exceed DEGREE_CAP + 1 = {DEGREE_CAP + 1}")
     if isinstance(caps, (int, np.integer)):
         caps = (int(caps),) * (kmax + 1)
     caps = tuple(int(c) for c in caps)
@@ -499,7 +500,7 @@ def _degree_matrices(c: CoefficientField, mode) -> dict:
     if not pos.size:
         return {}
     k, ell, m = _unpack(c.base, pos)
-    val = np.where((m < 0) & (m % 2 == 1), -1.0, 1.0) * c.data[pos]
+    val = _negative_order_sign(m) * c.data[pos]
     mu = np.abs(m)
     # [ell, S/D, Re/Im, mu, k]; add.at, because m and -m share a slot
     packed = np.zeros((ell.max() + 1, 2, 2, ell.max() + 1, k.max() + 1))

@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -385,6 +389,22 @@ def test_selftest_quick_passes(capsys):
     assert run(["selftest", "--level", "quick"]) == 0
     out = capsys.readouterr().out
     assert "OK: 11/11" in out
+
+
+def test_only_the_selftest_verb_imports_the_self_test():
+    code = (
+        "import sys\n"
+        "import calderon3d\n"
+        "assert 'calderon3d.selftest' not in sys.modules, 'import calderon3d'\n"
+        "import calderon3d.cli\n"
+        "assert 'calderon3d.selftest' not in sys.modules, 'import calderon3d.cli'\n"
+        "sys.exit(calderon3d.cli.main(['selftest', '--level', 'quick']))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "OK: 11/11" in proc.stdout
 
 
 def test_selftest_catches_a_gaunt_sign_flip(monkeypatch):

@@ -1,17 +1,34 @@
-"""The public names of the package and of each module exist."""
+"""The public names of the package and of each module exist, and the
+package keeps only the module-level caches it means to."""
 
 import importlib
 import pkgutil
 
 import calderon3d
+from calderon3d import recon
 
 
-def test_every_exported_name_is_defined():
-    modules = [calderon3d] + [
+def _modules():
+    return [calderon3d] + [
         importlib.import_module(f"calderon3d.{info.name}")
         for info in pkgutil.iter_modules(calderon3d.__path__)
     ]
+
+
+def test_every_exported_name_is_defined():
+    modules = _modules()
     assert len(modules) > 1  # the submodules were found
     for module in modules:
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert not missing, (module.__name__, missing)
+
+
+def test_the_module_level_caches_are_the_operator_and_gaunt_row_caches():
+    # a new module-global cache is a design decision: add it here on purpose
+    owners = []
+    for module in _modules():
+        owners.append(module)
+        owners += [v for v in vars(module).values()
+                   if isinstance(v, type) and v.__module__.startswith("calderon3d")]
+    cached = {v for owner in owners for v in vars(owner).values() if hasattr(v, "cache_info")}
+    assert cached == {recon.coupling_operator, recon._gaunt_row}

@@ -180,6 +180,8 @@ def test_reconstruct_cli_rejects_an_overlong_schedule_at_once(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "DEGREE_CAP" in err[0]
+    # the count of caps the user gave, not a kmax the user never typed
+    assert "200" in err[0] and "kmax" not in err[0]
     assert not out.exists()
 
 
@@ -359,10 +361,12 @@ def test_reconstructed_field_is_certified_within_schedule():
 # ---------------------------------------------------------------- operator
 
 
-def test_cold_operator_build_uses_no_exact_3j_sums():
-    before = specfun._w3j_signed_square.cache_info().misses
+def test_cold_operator_build_uses_no_exact_3j_sums(monkeypatch):
+    def exact_sum(*args):
+        raise AssertionError(f"operator build evaluated the exact 3j sum {args}")
+
+    monkeypatch.setattr(specfun, "_w3j_signed_square", exact_sum)
     coupling_operator((48, 44, 40, 36, 32, 28, 24, 20))
-    assert specfun._w3j_signed_square.cache_info().misses == before
 
 
 def test_order_free_factor_equals_its_rational_form():

@@ -16,6 +16,8 @@ from calderon3d.specfun import (
     _norm_legendre_degrees,
     _norm_legendre_sweep,
     _norm_legendre_table,
+    _w3j_signed_square,
+    _w3j_zero_square,
     coupling_gaunts,
     gaunt,
     gaunt_selection,
@@ -305,6 +307,20 @@ def test_gaunt_frozen_values():
     assert gaunt(1, 1, 2, 0, 0, 0) == pytest.approx(0.2523132522020160, rel=1e-13)
     assert gaunt(4, 6, 8, 1, 2, -3) == pytest.approx(-0.1371233705053980, rel=1e-13)
     assert gaunt(3, 3, 4, 2, -1, -1) == pytest.approx(0.1450699201459755, rel=1e-13)
+
+
+def test_zero_order_closed_form_equals_the_racah_sum():
+    # gaunt takes (j1 j2 j3; 0 0 0) from the closed form, sign (-1)^((j1 - j2) + J/2)
+    # in the Racah sum's convention; exhaustive over degrees <= 30
+    checked = 0
+    for j1 in range(31):
+        for j2 in range(31):
+            for j3 in range(abs(j1 - j2), min(j1 + j2, 30) + 1, 2):
+                sign, square = _w3j_signed_square(j1, j2, j3, 0, 0, 0)
+                assert _w3j_zero_square(j1, j2, j3, math.factorial) == square, (j1, j2, j3)
+                assert sign == (-1) ** ((j1 - j2) + (j1 + j2 + j3) // 2), (j1, j2, j3)
+                checked += 1
+    assert checked == 7816
 
 
 def test_gaunt_exact_zero_when_selection_fails():
