@@ -91,7 +91,7 @@ def forward_measure(c: CoefficientField, K: int, degree_caps) -> MeasurementSet:
     # the operator's columns are a packed layout under col_caps
     coeffs = c._relaid(op.col_caps)[0]
     values = np.concatenate([st.term_sum(coeffs) for st in op.stages])
-    return MeasurementSet._packed(values, np.ones(values.size, dtype=bool), K, caps)
+    return MeasurementSet._packed(values, np.ones(values.size, dtype=bool), caps)
 
 
 def _first_unsupported_demand(c: CoefficientField, caps: tuple):
@@ -168,7 +168,7 @@ def oracle_measure(eta, K: int, degree_caps, quad: BallQuadrature | None = None)
         quad = BallQuadrature()
     cube = _sample_on_ball(eta, quad)
     values = _oracle_values(cube, caps, quad)
-    return MeasurementSet._packed(values, np.ones(values.size, dtype=bool), K, caps)
+    return MeasurementSet._packed(values, np.ones(values.size, dtype=bool), caps)
 
 
 def add_noise(ms: MeasurementSet, relative_level: float, seed: int) -> MeasurementSet:
@@ -184,7 +184,7 @@ def add_noise(ms: MeasurementSet, relative_level: float, seed: int) -> Measureme
     if not (math.isfinite(relative_level) and relative_level >= 0):
         raise ValueError(f"noise level must be finite and nonnegative, got {relative_level}")
     if relative_level == 0:
-        return MeasurementSet._packed(ms.data, ms.present, ms.kmax, ms.degree_caps)
+        return MeasurementSet._packed(ms.data, ms.present, ms.degree_caps)
     sigma = relative_level * ms.rms()
     pos = np.flatnonzero(ms.present)
     m = _unpack(ms.base, pos)[2]
@@ -205,4 +205,4 @@ def add_noise(ms: MeasurementSet, relative_level: float, seed: int) -> Measureme
     noise[pos[mirror] - 2 * m[mirror]] = np.where(m[mirror] % 2, -1.0, 1.0) * np.conj(
         noise[pos[mirror]]
     )
-    return MeasurementSet._packed(ms.data + noise, ms.present, ms.kmax, ms.degree_caps)
+    return MeasurementSet._packed(ms.data + noise, ms.present, ms.degree_caps)

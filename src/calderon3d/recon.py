@@ -37,10 +37,10 @@ order, the divisor last.  ``CouplingStage.term_sum`` adds all the terms
 for the forward map and all but the divisor for the solve.  The Gaunt
 factors of every stage come from one batched ``specfun.coupling_gaunts``
 call, one row per (k, s, l), and each serves every q of its (k, s).
-``big_q`` takes its Gaunt row from the same routine, so its values equal
-the operator's.  The operator is kept in a bounded cache keyed by the
-caps tuple; at the schedule (48, 44, ..., 20) it has 10,472 rows and
-99,624 terms in 1.20 MB.
+``big_q`` asks the same routine for its one row; a row does not depend on
+the batch it is computed in, so its values equal the operator's.  The
+operator is kept in a bounded cache keyed by the caps tuple; at the
+schedule (48, 44, ..., 20) it has 10,472 rows and 99,624 terms in 1.20 MB.
 """
 
 from __future__ import annotations
@@ -163,7 +163,7 @@ def big_q(ell: int, s: int, k: int, m: int, q: int) -> float:
         raise ValueError(f"need 0 <= q <= k - s, got q={q}, k={k}, s={s}")
     if abs(m) > ell:
         raise ValueError(f"order out of range: |m|={abs(m)} > ell={ell}")
-    g = _gaunt_row(k, s, ell)[abs(m)]
+    g = specfun.coupling_gaunts([k], [s], [ell])[0, abs(m)]
     if g == 0.0:
         return 0.0
     sign = 1.0 if m % 2 else -1.0
@@ -234,14 +234,6 @@ def _frozen(values, dtype) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.flags.writeable = False
     return arr
-
-
-# bounded: big_q asks for one row at a time; operator builds never come here
-@lru_cache(maxsize=256)
-def _gaunt_row(k: int, s: int, ell: int) -> np.ndarray:
-    """G_{k+1, l+k+1, l+2s}^{0,-m,m} for m = 0..ell, equal to the operator's
-    values: a row does not depend on the batch it is computed in."""
-    return _frozen(specfun.coupling_gaunts([k], [s], [ell])[0], float)
 
 
 @lru_cache(maxsize=4)
@@ -379,9 +371,7 @@ def reconstruct(
         stages.append(StageDiagnostic(k=k, max_inner_sum_magnitude=largest))
     solution = np.concatenate([coeffs[st.cols[-1]] for st in op.stages])
     return ReconReport(
-        field=CoefficientField._packed(
-            solution, np.ones(solution.size, dtype=bool), schedule.K, schedule.caps
-        ),
+        field=CoefficientField._packed(solution, have, schedule.caps),
         schedule=schedule,
         min_divisor=min(float(np.abs(st.vals[-1]).min()) for st in op.stages),
         stages=tuple(stages),

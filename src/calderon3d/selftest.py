@@ -9,10 +9,10 @@ The surface-gradient identity check integrates the left-hand side with
 sphere quadrature and evaluates the right-hand side through
 ``specfun.gaunt`` looked up at call time, so a corrupted Gaunt routine
 (wrong sign, wrong normalization) is caught here even if cached
-constants elsewhere still look plausible.  The divisor-floor check
-compares the Gaunt factors that ``big_q`` takes from the fast
-extended-precision path with the exact ``specfun.gaunt``, also looked up
-at call time, and fails above 4 ulp.  The phase-recurrence check compares
+constants elsewhere still look plausible.  The divisor-floor check takes
+the divisors from the coupling operator, as ``reconstruct`` does, and
+compares ``specfun.coupling_gaunts`` with ``specfun.gaunt``, both looked up
+at call time: it fails above 4 ulp.  The phase-recurrence check compares
 the azimuthal factors e^{i mu phi} that synthesis builds by repeated
 multiplication (``zernike._phases``, looked up at call time) with cos and
 sin of mu phi in long double, for every mu <= DEGREE_CAP, and fails above
@@ -37,22 +37,20 @@ from .quadrature import BallQuadrature, SphereQuadrature
 from .recon import (
     ScheduleViolation,
     TruncationSchedule,
-    _gaunt_row,
-    big_q,
+    coupling_operator,
     reconstruct,
     validate_schedule,
 )
-from .zernike import CoefficientField, _bases, as_caps, basis_gram
+from .zernike import CoefficientField, _bases, _unpack, basis_gram
 
 __all__ = ["run_selftest"]
 
 
-def _random_field(kmax, caps, rng):
+def _random_field(caps, rng):
     # complex(g, g') per index in (k, ell, m) order: the draws pair up as is
-    caps = as_caps(kmax, caps)
     n = _bases(caps)[-1]
     values = rng.standard_normal(2 * n).view(complex)
-    return CoefficientField._packed(values, np.ones(n, dtype=bool), kmax, caps)
+    return CoefficientField._packed(values, np.ones(n, dtype=bool), caps)
 
 
 def _check_weight_sum():
@@ -173,7 +171,7 @@ def _check_oracle_quick():
     from .zernike import synthesize_xyz
 
     rng = np.random.default_rng(2024)
-    c = _random_field(1, (3, 1), rng)
+    c = _random_field((3, 1), rng)
 
     def eta(x, y, z):
         return synthesize_xyz(c, x, y, z)
@@ -210,7 +208,7 @@ def _check_round_trip(n_fields, K, top, seed):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_fields):
-        c = _random_field(K, caps, rng)
+        c = _random_field(caps, rng)
         rep = reconstruct(forward_measure(c, K, caps), schedule)
         worst = max(worst, float(np.max(np.abs(rep.field.data - c.data) / np.abs(c.data))))
     return worst <= 1e-10, (
@@ -235,18 +233,18 @@ def _check_schedules():
 
 
 def _check_divisor_floor(lmax, kmax):
-    floor = math.inf
-    at = None
+    caps = (lmax,) * (kmax + 1)
+    # the divisors reconstruct uses, in (k, ell, m) order; argmin takes the first
+    divisors = np.abs(np.concatenate([st.vals[-1] for st in coupling_operator(caps).stages]))
+    floor, at = divisors.min(), [int(v) for v in _unpack(_bases(caps), np.argmin(divisors))]
+    # their Gaunt rows G_{k+1, l+k+1, l}^{0,-m,m}, one per (k, ell), in one batch
+    ks, ells = np.divmod(np.arange((kmax + 1) * (lmax + 1)), lmax + 1)
+    table = specfun.coupling_gaunts(ks, 0 * ks, ells)
     gap = 0.0
-    for k in range(kmax + 1):
-        for ell in range(lmax + 1):
-            row = _gaunt_row(k, 0, ell)
-            for m in range(-ell, ell + 1):
-                v = abs(big_q(ell, 0, k, m, k))
-                if v < floor:
-                    floor, at = v, (k, ell, m)
-                exact = specfun.gaunt(k + 1, ell + k + 1, ell, 0, -m, m)
-                gap = max(gap, abs(row[abs(m)] - exact) / np.spacing(abs(exact)))
+    for row, k, ell in zip(table, ks.tolist(), ells.tolist()):
+        for m in range(-ell, ell + 1):
+            exact = specfun.gaunt(k + 1, ell + k + 1, ell, 0, -m, m)
+            gap = max(gap, abs(row[abs(m)] - exact) / np.spacing(abs(exact)))
     return floor > 0.0 and gap <= 4.0, (
         f"min |divisor| over l <= {lmax}, k <= {kmax} is {floor:.6e} at "
         f"(k={at[0]}, ell={at[1]}, m={at[2]}); its Gaunt factors are within "
@@ -273,7 +271,7 @@ def _check_phase_recurrence(n_angles, seed):
 
 
 def _check_cone_synthesis(n, caps, seed):
-    field = _random_field(len(caps) - 1, caps, np.random.default_rng(seed))
+    field = _random_field(caps, np.random.default_rng(seed))
     u = np.linspace(-1.0, 1.0, n)
     x, y = (a.ravel() for a in np.meshgrid(u, u, indexing="ij"))
     inside = x * x + y * y <= 1.0

@@ -158,7 +158,7 @@ def _read_document(path, key: str, kind: str):
         if present[pos]:
             raise ValueError(f"{path}: entry (k={k}, ell={ell}, m={m}) appears more than once")
         data[pos], present[pos] = value, True
-    return doc, CoefficientField._packed(data, present, kmax, tuple(caps), certified)
+    return doc, CoefficientField._packed(data, present, tuple(caps), certified)
 
 
 # ------------------------------------------------------------- coefficients
@@ -269,6 +269,10 @@ def _fmt_distinct(a: np.ndarray) -> list:
 
 
 def dump_grid_slice(gs: GridSlice, path) -> None:
+    # every value is formatted, and so checked, before the file is opened
     values = ["" if math.isnan(v) else _fmt(v) for v in gs.values.ravel().tolist()]
     rows = zip(_fmt_distinct(gs.x), _fmt_distinct(gs.y), _fmt_distinct(gs.z), values)
-    Path(path).write_text("\n".join(["x,y,z,value", *map(",".join, rows)]) + "\n")
+    with Path(path).open("w") as out:
+        out.write("x,y,z,value\n")
+        for row in map(",".join, rows):
+            out.write(row + "\n")

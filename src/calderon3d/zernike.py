@@ -300,7 +300,6 @@ class CoefficientField:
         truncations of unknown functions, e.g. quadrature projections.
     """
 
-    kmax: int
     degree_caps: tuple
     certified: bool
     base: tuple
@@ -317,18 +316,26 @@ class CoefficientField:
             if idx.k > kmax or idx.ell > caps[idx.k]:
                 raise ValueError(f"entry {idx} lies outside the declared bounds")
             pos = base[idx.k] + idx.ell * (idx.ell + 1) + idx.m
+            if present[pos]:  # a tuple key and a ZernikeIndex key can name one index
+                raise ValueError(
+                    f"entry (k={idx.k}, ell={idx.ell}, m={idx.m}) appears more than once")
             data[pos], present[pos] = complex(val), True
-        vars(self).update(vars(self._packed(data, present, kmax, caps, certified)))
+        vars(self).update(vars(self._packed(data, present, caps, certified)))
 
     @classmethod
-    def _packed(cls, data, present, kmax, caps, certified=True):
+    def _packed(cls, data, present, caps, certified=True):
         """A field over arrays already in the packed layout of the caps tuple
         ``caps``; ``data`` must hold 0 where ``present`` is False."""
         field = object.__new__(cls)
         data.flags.writeable = present.flags.writeable = False
-        field.__dict__.update(kmax=kmax, degree_caps=caps, certified=certified,
+        field.__dict__.update(degree_caps=caps, certified=certified,
                               base=_bases(caps), data=data, present=present)
         return field
+
+    @property
+    def kmax(self) -> int:
+        """Largest radial index in the support: one less than the number of caps."""
+        return len(self.degree_caps) - 1
 
     @property
     def entries(self) -> Mapping:
@@ -459,7 +466,7 @@ def project(eta, kmax: int, degree_caps, quad: BallQuadrature | None = None) -> 
         rad_prof = weighted[mu, mu:] @ f_m[:, :, m + lmax].T  # (nl, n_r)
         block = _negative_order_sign(m) * (radial[mu:] * rad_prof[:, None, :]).sum(axis=-1)
         data[start[mu:][inside[mu:]] + m] = block[inside[mu:]]
-    return CoefficientField._packed(data, np.ones(data.size, dtype=bool), kmax, caps, False)
+    return CoefficientField._packed(data, np.ones(data.size, dtype=bool), caps, False)
 
 
 # Rings (distinct (r, theta) pairs) and points per synthesis block.  The

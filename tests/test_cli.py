@@ -12,6 +12,7 @@ import pytest
 
 from calderon3d import cli, selftest, specfun, zernike
 from calderon3d.cli import main
+from calderon3d.phantoms import PhantomSpec
 from calderon3d.serialize import (
     load_coefficient_field,
     load_measurement_set,
@@ -69,6 +70,13 @@ def test_project_rejects_bad_phantom_parameters(tmp_path):
                 "--out", str(out)]) == 2  # scalar caps without --kmax
     assert run(["project", "--phantom", "gaussian", "--kmax", "2",
                 "--caps", "4,2", "--out", str(out)]) == 2  # conflicting kmax
+    for bad, message in [(dict(name="disc"), "unknown phantom"),
+                         (dict(name="gaussian", center=(0.0, 0.3)), "3-vector"),
+                         (dict(name="gaussian", sharpness=0.0), "positive"),
+                         (dict(name="gaussian", sharpness=-1.0), "positive"),
+                         (dict(name="basis", index=(0, 0)), "triple")]:
+        with pytest.raises(ValueError, match=message):
+            PhantomSpec(**bad)
 
 
 def test_project_rejects_non_finite_phantom_parameters(tmp_path, capsys):
@@ -389,6 +397,19 @@ def test_selftest_quick_passes(capsys):
     assert run(["selftest", "--level", "quick"]) == 0
     out = capsys.readouterr().out
     assert "OK: 11/11" in out
+    with pytest.raises(ValueError, match="unknown selftest level 'medium'"):
+        selftest.run_selftest("medium")
+
+
+def test_selftest_divisor_floor_sees_live_gaunt_rows(monkeypatch):
+    # runs after a passing quick self-test in the same process: rows it read
+    # then must not stand in for the perturbed ones
+    original = specfun.coupling_gaunts
+    monkeypatch.setattr(specfun, "coupling_gaunts", lambda *a: original(*a) * (1 + 1e-13))
+    stream = io.StringIO()
+    assert not selftest.run_selftest("quick", stream=stream)
+    line = next(ln for ln in stream.getvalue().splitlines() if "divisor floor" in ln)
+    assert line.startswith("FAIL") and "ulp of the exact path" in line  # failed, not raised
 
 
 def test_only_the_selftest_verb_imports_the_self_test():
@@ -444,6 +465,8 @@ def test_argparse_errors_exit_2(tmp_path):
     assert run(["no-such-verb"]) == 2
     assert run(["slice", "--coefficients", "x.json", "--plane", "w=0",
                 "--out", str(tmp_path / "s.csv")]) == 2
+    assert run(["slice", "--coefficients", "x.json", "--plane", "z0",
+                "--out", str(tmp_path / "s.csv")]) == 2  # no '='
     assert run(["reconstruct", "--schedule", "4,2",
                 "--out", str(tmp_path / "x.json")]) == 2  # missing --measurements
     assert run([]) == 2

@@ -23,7 +23,7 @@ def test_every_exported_name_is_defined():
         assert not missing, (module.__name__, missing)
 
 
-def test_the_module_level_caches_are_the_operator_and_gaunt_row_caches():
+def test_the_only_module_level_cache_is_the_coupling_operators():
     # a new module-global cache is a design decision: add it here on purpose
     owners = []
     for module in _modules():
@@ -31,4 +31,4 @@ def test_the_module_level_caches_are_the_operator_and_gaunt_row_caches():
         owners += [v for v in vars(module).values()
                    if isinstance(v, type) and v.__module__.startswith("calderon3d")]
     cached = {v for owner in owners for v in vars(owner).values() if hasattr(v, "cache_info")}
-    assert cached == {recon.coupling_operator, recon._gaunt_row}
+    assert cached == {recon.coupling_operator}

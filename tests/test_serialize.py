@@ -158,6 +158,7 @@ def test_loader_rejects_malformed_documents(tmp_path):
         "textcertified.json": '{"kmax": 0, "certified": "false", "entries": []}',
         "halfell.json": '{"kmax": 0, "entries": [{"k": 0, "ell": 2.5, ' + entry + "}]}",
         "boolindex.json": '{"kmax": 0, "entries": [{"k": false, "ell": true, ' + entry + "}]}",
+        "dictentries.json": '{"kmax": 0, "entries": {}}',
     }
     measurement_cases = {
         "listK.json": '{"K": [1], "entries": []}',
@@ -193,6 +194,10 @@ def test_loader_rejects_malformed_documents(tmp_path):
         load_coefficient_field(tmp_path / "missing.json")
     with pytest.raises(ValueError):
         load_measurement_set(tmp_path / "nokey.json")
+    plain = tmp_path / "plain.json"
+    dump_coefficient_field(CoefficientField({(0, 0, 0): 1.0}, 0, 0), plain)
+    with pytest.raises(ValueError, match="not a reconstruction report"):
+        load_recon_report(plain)
 
 
 REPEATED = (

@@ -131,6 +131,8 @@ def test_sph_harm_constant_and_zonal():
 def test_sph_harm_index_validation():
     with pytest.raises(ValueError):
         sph_harm(2, 3, 0.5, 0.5)
+    with pytest.raises(ValueError, match="invalid index"):
+        sph_harm_surface_grad(2, 3, 0.5, 0.5)
 
 
 def test_sph_harm_against_direct_formula():
@@ -244,6 +246,7 @@ def test_wigner3j_selection_zeros_are_exact():
     assert wigner3j(2, 2, 2, 1, 1, 1) == 0.0  # orders do not sum to zero
     assert wigner3j(2, 2, 2, 3, -3, 0) == 0.0  # |m| > j
     assert wigner3j(0, 1, 2, 0, 0, 0) == 0.0  # triangle violated again
+    assert wigner3j(-1, 1, 0, 0, 0, 0) == 0.0  # negative degree
 
 
 def test_wigner3j_odd_sum_zero_row():
@@ -257,6 +260,8 @@ def test_wigner3j_degree_cap():
         wigner3j(DEGREE_CAP + 1, DEGREE_CAP + 1, 0, 0, 0, 0)
     # at the cap it still works
     assert math.isfinite(wigner3j(DEGREE_CAP, DEGREE_CAP, 0, 0, 0, 0))
+    with pytest.raises(OverflowError):
+        gaunt(DEGREE_CAP + 1, DEGREE_CAP + 1, 0, 0, 0, 0)
 
 
 @h.given(
@@ -327,6 +332,9 @@ def test_gaunt_exact_zero_when_selection_fails():
     assert gaunt(1, 1, 1, 0, 0, 0) == 0.0
     assert gaunt(1, 2, 5, 0, 0, 0) == 0.0
     assert gaunt(2, 2, 2, 1, 0, 0) == 0.0
+    # the selection rules hold, but |m1| > l1
+    assert gaunt_selection(2, 2, 2, 3, -3, 0)
+    assert gaunt(2, 2, 2, 3, -3, 0) == 0.0
 
 
 def test_gaunt_matches_sphere_quadrature():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from calderon3d import zernike
-from calderon3d.quadrature import BallQuadrature
+from calderon3d.quadrature import BallQuadrature, SphereQuadrature
 from calderon3d.specfun import DEGREE_CAP, sph_harm
 from calderon3d.zernike import (
     CoefficientField,
@@ -118,6 +118,10 @@ def test_radial_zernike_domain_error():
         radial_zernike(2, 1, 1.0001)
     with pytest.raises(ValueError):
         radial_zernike(2, 1, -0.2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        radial_zernike(-1, 1, 0.5)
+    with pytest.raises(ValueError, match="nonnegative"):
+        radial_zernike(2, -1, 0.5)
 
 
 @h.given(
@@ -141,6 +145,10 @@ def test_chi_base_case_and_errors():
         chi(2, 1, 2)
     with pytest.raises(ValueError):
         chi(2, 1, -1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        chi(-1, 0, 0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        chi(2, -1, 0)
 
 
 def test_chi_frozen_values():
@@ -187,6 +195,8 @@ def test_psi_constant_and_solid_harmonic():
         r, th, ph = 0.77, 1.1, 2.9
         ref = math.sqrt(2 * ell + 3) * r**ell * sph_harm(ell, m, th, ph)
         assert psi_eval(0, ell, m, r, th, ph) == pytest.approx(ref, rel=1e-13)
+    with pytest.raises(ValueError, match="order out of range"):
+        psi_eval(0, 2, 3, 0.5, 1.0, 2.0)
 
 
 def test_psi_gram_identity():
@@ -221,6 +231,24 @@ def test_field_bounds_checking():
         CoefficientField({(2, 0, 0): 1.0}, kmax=1, degree_caps=(0, 2))
     with pytest.raises(ValueError):
         CoefficientField({(0, 1, 0): 1.0}, kmax=1, degree_caps=(0, 2))
+    with pytest.raises(ValueError, match="need 2 per-k degree caps, got 3"):
+        CoefficientField({}, kmax=1, degree_caps=(0, 2, 4))
+    with pytest.raises(ValueError, match="nonnegative"):
+        as_caps(-1, 3)
+
+
+def test_field_rejects_a_repeated_index():
+    # a tuple key and a ZernikeIndex key name one index, as two file rows can
+    entries = {(0, 0, 0): 1.0, ZernikeIndex(0, 0, 0): 2.0}
+    with pytest.raises(ValueError, match=r"entry \(k=0, ell=0, m=0\) appears more than once"):
+        CoefficientField(entries, 0, 0)
+
+
+def test_quadratures_reject_nonpositive_orders():
+    with pytest.raises(ValueError, match="positive"):
+        SphereQuadrature(0)
+    with pytest.raises(ValueError, match="positive"):
+        BallQuadrature(0)
 
 
 def test_radial_bound_stops_at_degree_cap():
