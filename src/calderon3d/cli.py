@@ -13,7 +13,10 @@ Verbs:
 * ``selftest``    run the built-in consistency checks.
 
 Every command is deterministic given its arguments and seed; output
-files are byte-stable across runs.  Exit codes: 0 success, 2 bad
+files are byte-stable across runs with the same BLAS thread count.
+Synthesis runs on BLAS matrix products, whose summation order depends on
+that count, so ``slice`` values with OPENBLAS_NUM_THREADS=1 and =2 can
+differ in the last bits.  Exit codes: 0 success, 2 bad
 arguments or inputs (including a request too large to allocate),
 3 infeasible schedule, 4 missing measurements, 5 self-test failure.
 """

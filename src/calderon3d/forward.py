@@ -16,7 +16,7 @@ with u_a^b = r^a Y_a^b / a.  Two independent routes are provided:
   (exact to rounding, no truncation error).  The constants Q come from
   ``recon.coupling_operator``, built once per tuple of degree caps and
   kept in a small bounded cache that ``recon.reconstruct`` shares, so the
-  series is one term-by-term pass per radial index k;
+  series is one gather and one reduction per radial index k;
 * ``oracle_measure``: direct ball quadrature of the kernel Phi for
   arbitrary evaluable fields, sampled on the grid by the same rule as
   ``zernike.project``.  The integral is separable: an azimuthal
@@ -99,14 +99,20 @@ def _first_unsupported_demand(c: CoefficientField, caps: tuple):
     the bounds of ``c``, in (k, ell, m, q, s) order, or None.
 
     The bounds do not depend on m (|m| <= ell <= ell + 2s always holds), so
-    the first offending order of a degree is m = -ell.
+    the first offending order of a degree is m = -ell.  The demand (q, s)
+    of degree ell is out of bounds exactly when ell >= max(0, l_q - 2s + 1),
+    l_q the field's cap at q, or for every ell when q > c.kmax.  So the
+    first offender of stage k is the smallest (ell, q, s) over its demands
+    with ell at that least value, if that ell is at most caps[k].
     """
     for k, cap in enumerate(caps):
-        for ell in range(cap + 1):
-            for q in range(k + 1):
-                for s in range(k - q + 1):
-                    if not c.in_bounds(q, ell + 2 * s, -ell):
-                        return (k, ell, -ell), (q, ell + 2 * s, -ell)
+        ell, q, s = min(
+            (0 if q > c.kmax else max(0, c.degree_caps[q] - 2 * s + 1), q, s)
+            for q in range(k + 1)
+            for s in range(k - q + 1)
+        )
+        if ell <= cap:
+            return (k, ell, -ell), (q, ell + 2 * s, -ell)
     return None
 
 

@@ -34,7 +34,9 @@ built by ``coupling_operator`` and shared by ``forward.forward_measure``
 both in one (k, l, m) row order.  Each stage k is a rectangular table
 with values equal to ``big_q``: one table row per (q, s) in summation
 order, the divisor last.  ``CouplingStage.term_sum`` adds all the terms
-for the forward map and all but the divisor for the solve.  The Gaunt
+for the forward map and all but the divisor for the solve, in one gather
+and one reduction over the stage; numpy's reduction over an outer axis
+adds the terms one at a time from zero, so its order is fixed.  The Gaunt
 factors of every stage come from one batched ``specfun.coupling_gaunts``
 call, one row per (k, s, l), and each serves every q of its (k, s).
 ``big_q`` asks the same routine for its one row; a row does not depend on
@@ -204,14 +206,22 @@ class CouplingStage:
 
     def term_sum(self, coeffs: np.ndarray, stop: int | None = None) -> np.ndarray:
         """Per row, its terms before ``stop`` (all by default) against the flat
-        column vector ``coeffs``, added one at a time from zero, real and
-        imaginary parts apart; a numpy reduction would leave the order open."""
-        out = np.zeros(self.size, dtype=complex)
-        for c, v in zip(self.cols[:stop], self.vals[:stop]):
-            x = coeffs[c]
-            out.real += v * x.real
-            out.imag += v * x.imag
-        return out
+        column vector ``coeffs``, added one at a time from zero in term order,
+        real and imaginary parts apart.
+
+        One gather and two products fill a (terms, rows, 2) array, the last
+        axis the (real, imaginary) pair, and one reduction sums over the
+        terms.  numpy reduces an outer axis by adding whole slices to the
+        ``initial`` zeros in index order, so the order is fixed and is the
+        term order.  It sums pairwise, in another order, only along the
+        innermost extent, and the trailing pair keeps that extent at least 2
+        even for a one-row stage.
+        """
+        x = coeffs[self.cols[:stop]]
+        parts = np.empty(x.shape + (2,))
+        np.multiply(self.vals[:stop], x.real, out=parts[..., 0])
+        np.multiply(self.vals[:stop], x.imag, out=parts[..., 1])
+        return np.add.reduce(parts, axis=0, initial=0.0).view(complex).ravel()
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,7 +360,7 @@ def reconstruct(
         gap = np.lexsort((m, -ell, k))[0]
         raise MissingMeasurementError(int(k[gap]), int(ell[gap]), int(m[gap]))
     coeffs = np.zeros(op.col_base[-1], dtype=complex)  # stays 0 where never reconstructed
-    stages = []
+    inner = np.empty(measured.size, dtype=complex)
     for k, st in enumerate(op.stages):
         divisor = st.vals[-1]
         for i in np.flatnonzero(np.abs(divisor) < DIVISOR_UNDERFLOW).tolist():
@@ -360,21 +370,24 @@ def reconstruct(
                 f"(k={k}, ell={ell}, m={i - ell * (ell + 1)}); the special functions are suspect",
                 DivisorUnderflowWarning,
             )
-        inner = st.term_sum(coeffs, -1)
-        rhs = measured[st.start : st.start + st.size] - inner
+        rows = slice(st.start, st.start + st.size)
+        inner[rows] = st.term_sum(coeffs, -1)
+        rhs = measured[rows] - inner[rows]
+        # the stage's own coefficients, cols[-1], are the block from col_base[k];
         # divide each part: numpy's complex / float multiplies by the
         # reciprocal, which rounds differently from a true division
-        coeffs.real[st.cols[-1]] = rhs.real / divisor
-        coeffs.imag[st.cols[-1]] = rhs.imag / divisor
-        # np.hypot rounds like the builtin abs(complex); np.abs does not
-        largest = float(np.hypot(inner.real, inner.imag).max())
-        stages.append(StageDiagnostic(k=k, max_inner_sum_magnitude=largest))
-    solution = np.concatenate([coeffs[st.cols[-1]] for st in op.stages])
+        own = slice(op.col_base[k], op.col_base[k] + st.size)
+        np.divide(rhs.real, divisor, out=coeffs.real[own])
+        np.divide(rhs.imag, divisor, out=coeffs.imag[own])
+    solution = np.concatenate([coeffs[b : b + st.size] for b, st in zip(op.col_base, op.stages)])
+    # np.hypot rounds like the builtin abs(complex); np.abs does not
+    largest = np.maximum.reduceat(np.hypot(inner.real, inner.imag), [st.start for st in op.stages])
     return ReconReport(
         field=CoefficientField._packed(solution, have, schedule.caps),
         schedule=schedule,
         min_divisor=min(float(np.abs(st.vals[-1]).min()) for st in op.stages),
-        stages=tuple(stages),
+        stages=tuple(StageDiagnostic(k=k, max_inner_sum_magnitude=float(v))
+                     for k, v in enumerate(largest)),
         # an infeasible schedule always leaves some dependency unreconstructed
         regularised=bool(violations),
     )

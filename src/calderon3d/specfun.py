@@ -251,17 +251,6 @@ def _sqrt_fraction(fr: Fraction) -> float:
     return isqrt((n * d) << 240) / (d << 120)
 
 
-def _sqrt_fraction_wide(fr: Fraction) -> np.longdouble:
-    """sqrt of a positive exact rational, truncated to the 64-bit significand
-    of np.longdouble: within 2 of its ulps."""
-    n, d = fr.numerator, fr.denominator
-    shift = 64 + d.bit_length()
-    # sqrt(n/d) 2^shift >= 2^64 since n/d >= 1/d, so no bit is lost here
-    q = isqrt((n * d) << (2 * shift)) // d
-    drop = q.bit_length() - 64
-    return np.ldexp(np.longdouble(q >> drop), drop - shift)
-
-
 def _w3j_signed_square(j1: int, j2: int, j3: int, m1: int, m2: int, m3: int):
     """Sign and exact square of a 3j symbol, selection rules already checked.
 
@@ -308,6 +297,35 @@ def _w3j_zero_square(j1: int, j2: int, j3: int, fact) -> Fraction:
         fact(J - 2 * j1) * fact(J - 2 * j2) * fact(J - 2 * j3) * top * top,
         fact(J + 1) * bottom * bottom,
     )
+
+
+def _gaunt_prefactors(j1, j2, j3) -> np.ndarray:
+    """sqrt((2j1+1)(2j2+1)(2j3+1)) (j1 j2 j3; 0 0 0)^2 for each row of the
+    degree arrays, truncated to the 64-bit significand of np.longdouble:
+    within 2 of its ulps.
+
+    Per row the radicand is an exact integer ratio n/d; the truncated root
+    comes out as a 64-bit integer mantissa and a binary exponent, and one
+    np.ldexp converts every row.
+    """
+    fact = [1]
+    for n in range(1, int((j1 + j2 + j3).max()) + 2):
+        fact.append(fact[-1] * n)
+    mantissa, exponent = [], []
+    for d1, d2, d3 in zip(j1.tolist(), j2.tolist(), j3.tolist()):
+        zero = _w3j_zero_square(d1, d2, d3, fact.__getitem__)
+        # zero is in lowest terms, so only the (2j+1) product shares a factor with d
+        n, d = (2 * d1 + 1) * (2 * d2 + 1) * (2 * d3 + 1), zero.denominator**2
+        g = math.gcd(n, d)
+        n, d = zero.numerator**2 * (n // g), d // g
+        shift = 64 + d.bit_length()
+        # sqrt(n/d) 2^shift >= 2^64 since n/d >= 1/d, so no bit is lost here
+        q = isqrt((n * d) << (2 * shift)) // d
+        drop = q.bit_length() - 64
+        mantissa.append(q >> drop)
+        exponent.append(drop - shift)
+    # uint64 -> longdouble is exact with a 64-bit significand
+    return np.ldexp(np.array(mantissa, dtype=np.uint64).astype(np.longdouble), exponent)
 
 
 def coupling_gaunts(k, s, ell) -> np.ndarray:
@@ -357,15 +375,7 @@ def coupling_gaunts(k, s, ell) -> np.ndarray:
     if int(max(j2.max(), j3.max())) > DEGREE_CAP:
         raise OverflowError(f"Gaunt degree exceeds cap {DEGREE_CAP}")
 
-    fact = [1]
-    for n in range(1, int((j1 + j2 + j3).max()) + 2):
-        fact.append(fact[-1] * n)
-    # sqrt((2j1+1)(2j2+1)(2j3+1)) (j1 j2 j3; 0 0 0)^2 per row, to 64 bits
-    pref = []
-    for d1, d2, d3 in zip(j1.tolist(), j2.tolist(), j3.tolist()):
-        zero = _w3j_zero_square(d1, d2, d3, fact.__getitem__)
-        pref.append(_sqrt_fraction_wide(zero**2 * ((2 * d1 + 1) * (2 * d2 + 1) * (2 * d3 + 1))))
-    pref = np.array(pref)
+    pref = _gaunt_prefactors(j1, j2, j3)
 
     # f(m) for every order (axis 0) and row (axis 1), downward from each row's top
     top = np.minimum(j2, j3)
@@ -406,11 +416,13 @@ def wigner3j(j1: int, j2: int, j3: int, m1: int, m2: int, m3: int) -> float:
     ------
     OverflowError
         If any degree exceeds DEGREE_CAP.
+    ValueError
+        If any degree is negative, before the selection rules are checked.
     """
     if max(j1, j2, j3) > DEGREE_CAP:
         raise OverflowError(f"3j degree exceeds cap {DEGREE_CAP}")
     if min(j1, j2, j3) < 0:
-        return 0.0
+        raise ValueError(f"3j degrees must be nonnegative, got ({j1}, {j2}, {j3})")
     if m1 + m2 + m3 != 0 or not _triangle_ok(j1, j2, j3):
         return 0.0
     if abs(m1) > j1 or abs(m2) > j2 or abs(m3) > j3:
@@ -441,7 +453,16 @@ def gaunt(ell1: int, ell2: int, ell3: int, m1: int, m2: int, m3: int) -> float:
     Returns exactly 0.0 whenever gaunt_selection is false.  Otherwise the
     two 3j factors are combined at the level of their exact squares and a
     single square root is taken, keeping relative error at a few ulp.
+
+    Raises
+    ------
+    ValueError
+        If any degree is negative, before the selection rules are checked.
+    OverflowError
+        If the selection rules hold and some degree exceeds DEGREE_CAP.
     """
+    if min(ell1, ell2, ell3) < 0:
+        raise ValueError(f"Gaunt degrees must be nonnegative, got ({ell1}, {ell2}, {ell3})")
     if not gaunt_selection(ell1, ell2, ell3, m1, m2, m3):
         return 0.0
     if max(ell1, ell2, ell3) > DEGREE_CAP:

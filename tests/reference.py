@@ -164,3 +164,48 @@ def project_entrywise(eta, kmax: int, degree_caps, quad: BallQuadrature) -> dict
                     val = sign * np.sum(radial[ell][k] * rad_prof[ell - mu])
                     entries[ZernikeIndex(k, ell, m)] = complex(val)
     return entries
+
+
+def term_sum_loop(stage, coeffs: np.ndarray, stop=None) -> np.ndarray:
+    """``recon.CouplingStage.term_sum`` as one numpy pass per series term,
+    the form the whole-stage reduction replaced: each row's terms before
+    ``stop`` added one at a time from zero, real and imaginary parts apart."""
+    out = np.zeros(stage.size, dtype=complex)
+    for c, v in zip(stage.cols[:stop], stage.vals[:stop]):
+        x = coeffs[c]
+        out.real += v * x.real
+        out.imag += v * x.imag
+    return out
+
+
+def first_unsupported_demand_loop(c, caps: tuple):
+    """``forward._first_unsupported_demand`` as the walk over every
+    (k, ell, q, s) that the closed form replaced."""
+    for k, cap in enumerate(caps):
+        for ell in range(cap + 1):
+            for q in range(k + 1):
+                for s in range(k - q + 1):
+                    if not c.in_bounds(q, ell + 2 * s, -ell):
+                        return (k, ell, -ell), (q, ell + 2 * s, -ell)
+    return None
+
+
+def _sqrt_fraction_wide(fr: Fraction) -> np.longdouble:
+    """sqrt of a positive exact rational, truncated to the 64-bit significand
+    of np.longdouble: within 2 of its ulps."""
+    n, d = fr.numerator, fr.denominator
+    shift = 64 + d.bit_length()
+    # sqrt(n/d) 2^shift >= 2^64 since n/d >= 1/d, so no bit is lost here
+    q = math.isqrt((n * d) << (2 * shift)) // d
+    drop = q.bit_length() - 64
+    return np.ldexp(np.longdouble(q >> drop), drop - shift)
+
+
+def gaunt_prefactors_fraction(j1, j2, j3) -> np.ndarray:
+    """``specfun._gaunt_prefactors`` with per-row ``Fraction`` arithmetic
+    and one long-double root per row, the form the integer one replaced."""
+    pref = []
+    for d1, d2, d3 in zip(j1, j2, j3):
+        zero = specfun._w3j_zero_square(d1, d2, d3, math.factorial)
+        pref.append(_sqrt_fraction_wide(zero**2 * ((2 * d1 + 1) * (2 * d2 + 1) * (2 * d3 + 1))))
+    return np.array(pref)

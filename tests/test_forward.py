@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from calderon3d import forward
 from calderon3d.forward import (
     IncompleteSupportError,
     MeasurementSet,
@@ -17,7 +20,7 @@ from calderon3d.recon import MissingMeasurementError, TruncationSchedule, big_q,
 from calderon3d.serialize import dump_measurement_set, load_measurement_set
 from calderon3d.zernike import CoefficientField, ZernikeIndex, synthesize_xyz
 
-from reference import add_noise_entrywise
+from reference import add_noise_entrywise, first_unsupported_demand_loop
 from test_recon import random_field
 from test_zernike import complex_bits
 
@@ -140,6 +143,18 @@ def test_uncertified_field_raises_on_out_of_bounds_demand():
     # the certified twin treats the same demand as an exact zero
     ms = forward_measure(c, 1, (4, 4))
     assert ms.get(1, 4, 0) != 0
+
+
+@given(
+    field_caps=st.lists(st.integers(0, 12), min_size=1, max_size=6),
+    caps=st.lists(st.integers(0, 12), min_size=1, max_size=7),
+)
+@settings(max_examples=300, deadline=None)
+def test_support_check_closed_form_matches_the_walk(field_caps, caps):
+    # field kmax 0..5 and schedules of up to 7 caps, so q > c.kmax occurs
+    c = CoefficientField({}, len(field_caps) - 1, field_caps, certified=False)
+    want = first_unsupported_demand_loop(c, tuple(caps))
+    assert forward._first_unsupported_demand(c, tuple(caps)) == want
 
 
 def test_measurement_set_validates_bounds():

@@ -25,7 +25,13 @@ from calderon3d.recon import (
 from calderon3d.serialize import dump_measurement_set
 from calderon3d.zernike import CoefficientField, ZernikeIndex
 
-from reference import big_d, big_q_factored, order_free_factor_fraction, tau_expanded
+from reference import (
+    big_d,
+    big_q_factored,
+    order_free_factor_fraction,
+    tau_expanded,
+    term_sum_loop,
+)
 
 
 def random_field(kmax, caps, rng, real_sym=False):
@@ -411,6 +417,28 @@ def test_operator_entries_equal_big_q():
             for (q, ell, m), val in got:
                 assert m == idx.m
                 assert val == big_q(idx.ell, (ell - idx.ell) // 2, k, idx.m, q)
+
+
+@pytest.mark.parametrize(
+    "caps",
+    [(16, 11, 7, 5, 3), (30, 26, 22, 18, 14, 10, 6), (48, 44, 40, 36, 32, 28, 24, 20), (3, 2, 1, 0, 0)],
+    ids=["S", "M", "L", "zero_fill"],
+)
+def test_term_sum_adds_in_the_loops_order(caps):
+    # (3, 2, 1, 0, 0) is infeasible, the zero-fill operator; its one-row
+    # stages of 10 and 15 terms are where a pairwise sum would round apart
+    op = coupling_operator(caps)
+    rng = np.random.default_rng(19)
+    n = op.col_base[-1]
+    coeffs = np.empty(n, dtype=complex)
+    for part in (coeffs.real, coeffs.imag):
+        part[:] = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 7, n)
+        part[rng.random(n) < 0.2] = 0.0
+        part[rng.random(n) < 0.2] = -0.0
+    for st in op.stages:
+        for stop in (-1, None):
+            got, want = st.term_sum(coeffs, stop), term_sum_loop(st, coeffs, stop)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_forward_and_reconstruct_share_one_operator():

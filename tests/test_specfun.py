@@ -11,6 +11,7 @@ import sympy
 from sympy.physics.wigner import wigner_3j
 
 from calderon3d.quadrature import SphereQuadrature
+from calderon3d import specfun
 from calderon3d.specfun import (
     DEGREE_CAP,
     _norm_legendre_degrees,
@@ -26,7 +27,7 @@ from calderon3d.specfun import (
     wigner3j,
 )
 
-from reference import assoc_legendre
+from reference import assoc_legendre, gaunt_prefactors_fraction
 
 RNG = np.random.default_rng(20260815)
 
@@ -246,7 +247,11 @@ def test_wigner3j_selection_zeros_are_exact():
     assert wigner3j(2, 2, 2, 1, 1, 1) == 0.0  # orders do not sum to zero
     assert wigner3j(2, 2, 2, 3, -3, 0) == 0.0  # |m| > j
     assert wigner3j(0, 1, 2, 0, 0, 0) == 0.0  # triangle violated again
-    assert wigner3j(-1, 1, 0, 0, 0, 0) == 0.0  # negative degree
+    # a negative degree is an error, not a selection zero
+    with pytest.raises(ValueError, match=r"\(-1, 1, 0\)"):
+        wigner3j(-1, 1, 0, 0, 0, 0)
+    with pytest.raises(ValueError, match=r"\(-1, 1, 0\)"):
+        gaunt(-1, 1, 0, 0, 0, 0)
 
 
 def test_wigner3j_odd_sum_zero_row():
@@ -460,6 +465,17 @@ def test_coupling_gaunts_stay_within_a_few_eps_of_the_row_max_past_l(caps):
         assert _family_errors(table, i, k, s, ell)[1] <= 4.0
         # a row does not depend on the rest of its batch
         assert np.array_equal(coupling_gaunts([k], [s], [ell])[0], table[i, : ell + 1])
+
+
+def test_coupling_gaunts_match_the_fraction_prefactor_bit_for_bit(monkeypatch):
+    rows = _family_rows(tuple(range(66, 47, -2)))
+    k, s, ell = (np.array(v) for v in zip(*rows))
+    j1, j2, j3 = k + 1, ell + k + 1, ell + 2 * s
+    want = gaunt_prefactors_fraction(j1.tolist(), j2.tolist(), j3.tolist())
+    assert np.array_equal(specfun._gaunt_prefactors(j1, j2, j3), want)
+    table = coupling_gaunts(k, s, ell)
+    monkeypatch.setattr(specfun, "_gaunt_prefactors", lambda *degrees: want)
+    assert np.array_equal(coupling_gaunts(k, s, ell).view(np.int64), table.view(np.int64))
 
 
 def test_coupling_gaunts_reject_bad_rows():
