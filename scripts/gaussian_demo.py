@@ -29,6 +29,7 @@ from calderon3d import (
     forward_measure,
     project,
     reconstruct,
+    synthesize_ball_grid,
     synthesize_xyz,
 )
 from calderon3d.serialize import GridSlice
@@ -61,8 +62,7 @@ def per_k_errors(recovered, truth, kmax):
 
 
 def ball_error(eta, c, quad):
-    x, y, z = quad.cartesian_grid()
-    gap = eta(x, y, z) - synthesize_xyz(c, x, y, z)
+    gap = eta(*quad.cartesian_grid()) - synthesize_ball_grid(c, quad)
     return math.sqrt(quad.integrate(np.abs(gap) ** 2).real)
 
 

@@ -16,104 +16,26 @@ recon       coupling constants tau/Q and the forward-substitution solver
 phantoms    built-in test perturbations
 serialize   JSON / CSV readers and writers with round-trip-exact floats
 cli         command-line pipeline driver
+selftest    consistency checks run by the ``selftest`` verb
+
+The package exports each library module's ``__all__`` in this order, so a
+public name is declared once, in its module.  ``cli`` and ``selftest`` are
+left out: ``import calderon3d`` loads neither.
 """
 
-from .specfun import (
-    sph_harm,
-    sph_harm_surface_grad,
-    wigner3j,
-    gaunt,
-    gaunt_selection,
-)
-from .quadrature import SphereQuadrature, BallQuadrature
-from .zernike import (
-    ZernikeIndex,
-    CoefficientField,
-    radial_zernike,
-    chi,
-    psi_eval,
-    project,
-    synthesize,
-    synthesize_xyz,
-    synthesize_ball_grid,
-    basis_gram,
-)
-from .forward import (
-    MeasurementSet,
-    IncompleteSupportError,
-    forward_measure,
-    oracle_measure,
-    add_noise,
-)
-from .recon import (
-    TruncationSchedule,
-    ScheduleViolation,
-    StageDiagnostic,
-    ReconReport,
-    InfeasibleScheduleError,
-    MissingMeasurementError,
-    DivisorUnderflowWarning,
-    tau,
-    big_q,
-    validate_schedule,
-    reconstruct,
-)
-from .phantoms import PhantomSpec, PHANTOM_NAMES
-from .serialize import (
-    GridSlice,
-    dump_coefficient_field,
-    load_coefficient_field,
-    dump_measurement_set,
-    load_measurement_set,
-    dump_recon_report,
-    load_recon_report,
-    dump_grid_slice,
-)
+from .specfun import *  # noqa: F401,F403
+from .quadrature import *  # noqa: F401,F403
+from .zernike import *  # noqa: F401,F403
+from .forward import *  # noqa: F401,F403
+from .recon import *  # noqa: F401,F403
+from .phantoms import *  # noqa: F401,F403
+from .serialize import *  # noqa: F401,F403
+from . import forward, phantoms, quadrature, recon, serialize, specfun, zernike
 
 __all__ = [
-    "sph_harm",
-    "sph_harm_surface_grad",
-    "wigner3j",
-    "gaunt",
-    "gaunt_selection",
-    "SphereQuadrature",
-    "BallQuadrature",
-    "ZernikeIndex",
-    "CoefficientField",
-    "radial_zernike",
-    "chi",
-    "psi_eval",
-    "project",
-    "synthesize",
-    "synthesize_xyz",
-    "synthesize_ball_grid",
-    "basis_gram",
-    "MeasurementSet",
-    "IncompleteSupportError",
-    "forward_measure",
-    "oracle_measure",
-    "add_noise",
-    "TruncationSchedule",
-    "ScheduleViolation",
-    "StageDiagnostic",
-    "ReconReport",
-    "InfeasibleScheduleError",
-    "MissingMeasurementError",
-    "DivisorUnderflowWarning",
-    "tau",
-    "big_q",
-    "validate_schedule",
-    "reconstruct",
-    "PhantomSpec",
-    "PHANTOM_NAMES",
-    "GridSlice",
-    "dump_coefficient_field",
-    "load_coefficient_field",
-    "dump_measurement_set",
-    "load_measurement_set",
-    "dump_recon_report",
-    "load_recon_report",
-    "dump_grid_slice",
+    name
+    for module in (specfun, quadrature, zernike, forward, recon, phantoms, serialize)
+    for name in module.__all__
 ]
 
 __version__ = "0.1.0"

@@ -47,7 +47,7 @@ from .serialize import (
     load_coefficient_field,
     load_measurement_set,
 )
-from .zernike import project, synthesize_xyz
+from .zernike import project, synthesize_ball_grid, synthesize_xyz
 
 __all__ = ["main", "build_parser"]
 
@@ -185,15 +185,18 @@ def cmd_simulate(args) -> int:
     else:
         if (args.coefficients is None) == (args.phantom is None):
             raise ValueError("oracle mode needs exactly one of --coefficients or --phantom")
+        quad = _quad(args)
         if args.coefficients is not None:
-            field = load_coefficient_field(args.coefficients)
+            # the oracle samples eta on quad's grid only, so the field's
+            # values there, synthesized separably, are the whole callable
+            cube = synthesize_ball_grid(load_coefficient_field(args.coefficients), quad)
 
             def eta(x, y, z):
-                return synthesize_xyz(field, x, y, z)
+                return cube
 
         else:
             eta = _phantom(args).build()
-        ms = oracle_measure(eta, kmax, caps, _quad(args))
+        ms = oracle_measure(eta, kmax, caps, quad)
     ms = add_noise(ms, args.noise, args.seed)
     dump_measurement_set(ms, args.out)
     print(f"wrote {args.out} ({len(ms.entries)} measurements, K={ms.kmax})")

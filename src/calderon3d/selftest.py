@@ -41,7 +41,7 @@ from .recon import (
     reconstruct,
     validate_schedule,
 )
-from .zernike import CoefficientField, _bases, _unpack, basis_gram
+from .zernike import CoefficientField, _bases, _unpack, basis_gram, synthesize_ball_grid
 
 __all__ = ["run_selftest"]
 
@@ -168,15 +168,14 @@ def _oracle_worst(series, oracle):
 
 
 def _check_oracle_quick():
-    from .zernike import synthesize_xyz
-
-    rng = np.random.default_rng(2024)
-    c = _random_field((3, 1), rng)
+    c = _random_field((3, 1), np.random.default_rng(2024))
+    quad = BallQuadrature()
+    # the oracle samples eta on quad's grid only
+    cube = synthesize_ball_grid(c, quad)
 
     def eta(x, y, z):
-        return synthesize_xyz(c, x, y, z)
+        return cube
 
-    quad = BallQuadrature()
     series = forward_measure(c, 1, 3)
     oracle = oracle_measure(eta, 1, 3, quad)
     worst = _oracle_worst(series, oracle)
