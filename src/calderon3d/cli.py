@@ -47,7 +47,7 @@ from .serialize import (
     load_coefficient_field,
     load_measurement_set,
 )
-from .zernike import project, synthesize_ball_grid, synthesize_xyz
+from .zernike import project, synthesize_xyz
 
 __all__ = ["main", "build_parser"]
 
@@ -180,22 +180,13 @@ def cmd_simulate(args) -> int:
     if args.mode == "series":
         if args.coefficients is None:
             raise ValueError("series mode needs --coefficients")
-        field = load_coefficient_field(args.coefficients)
-        ms = forward_measure(field, kmax, caps)
+        ms = forward_measure(load_coefficient_field(args.coefficients), kmax, caps)
     else:
         if (args.coefficients is None) == (args.phantom is None):
             raise ValueError("oracle mode needs exactly one of --coefficients or --phantom")
         quad = _quad(args)
-        if args.coefficients is not None:
-            # the oracle samples eta on quad's grid only, so the field's
-            # values there, synthesized separably, are the whole callable
-            cube = synthesize_ball_grid(load_coefficient_field(args.coefficients), quad)
-
-            def eta(x, y, z):
-                return cube
-
-        else:
-            eta = _phantom(args).build()
+        eta = (load_coefficient_field(args.coefficients) if args.coefficients is not None
+               else _phantom(args).build())
         ms = oracle_measure(eta, kmax, caps, quad)
     ms = add_noise(ms, args.noise, args.seed)
     dump_measurement_set(ms, args.out)

@@ -44,6 +44,7 @@ from .zernike import (
     _sample_on_ball,
     _unpack,
     as_caps,
+    synthesize_ball_grid,
 )
 
 __all__ = [
@@ -167,12 +168,14 @@ def oracle_measure(eta, K: int, degree_caps, quad: BallQuadrature | None = None)
     """Quadrature measurements for every index (k <= K, ell <= caps[k], m).
 
     Samples the field once and integrates the angular-kernel form of the
-    measurement separably (see ``_oracle_values``).
+    measurement separably (see ``_oracle_values``).  ``eta`` is a callable
+    eta(x, y, z) or a CoefficientField, sampled by ``synthesize_ball_grid``.
     """
     caps = as_caps(K, degree_caps)
     if quad is None:
         quad = BallQuadrature()
-    cube = _sample_on_ball(eta, quad)
+    cube = (synthesize_ball_grid(eta, quad) if isinstance(eta, CoefficientField)
+            else _sample_on_ball(eta, quad))
     values = _oracle_values(cube, caps, quad)
     return MeasurementSet._packed(values, np.ones(values.size, dtype=bool), caps)
 

@@ -172,17 +172,17 @@ def big_q(ell: int, s: int, k: int, m: int, q: int) -> float:
     return sign * _order_free_factor(ell, s, k, q) * g
 
 
-def _order_free_factor(ell: int, s: int, k: int, q: int) -> float:
+def _order_free_factor(ell, s: int, k: int, q: int):
     """The part of Q_{l,s}^{k,m,q} that depends on neither m nor the Gaunt:
-    sqrt(2l+4q+4s+3) (k-s+1) (k-q-s+1)_q / ((k+1)(l+k+1) (l+k+s+5/2)_q)."""
-    num = (k - s + 1) * 2**q
-    for i in range(q):
-        num *= k - q - s + 1 + i
-    den = (k + 1) * (ell + k + 1)
-    for i in range(q):
-        den *= 2 * (ell + k + s) + 5 + 2 * i
+    sqrt(2l+4q+4s+3) (k-s+1) (k-q-s+1)_q / ((k+1)(l+k+1) (l+k+s+5/2)_q),
+    at a degree ``ell`` or at each degree of an integer array ``ell``."""
+    ells = np.asarray(ell)
+    num = (k - s + 1) * 2**q * math.prod(range(k - q - s + 1, k - s + 1))
     # int true division is correctly rounded, as float(Fraction(num, den)) is
-    return math.sqrt(2 * ell + 4 * q + 4 * s + 3) * (num / den)
+    ratios = [num / ((k + 1) * (d + k + 1) * math.prod(range(2 * (d + k + s) + 5,
+                                                            2 * (d + k + s + q) + 5, 2)))
+              for d in ells.ravel().tolist()]
+    return np.sqrt(2 * ells + 4 * q + 4 * s + 3) * np.reshape(ratios, ells.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,7 +283,7 @@ def coupling_operator(caps: tuple) -> CouplingOperator:
 
         def term(q, s):
             """Column and value of the (q, s) term of every row, as in big_q."""
-            factor = np.array([_order_free_factor(l, s, k, q) for l in range(cap + 1)])[ell]
+            factor = _order_free_factor(np.arange(cap + 1), s, k, q)[ell]
             g = gaunts[s]
             # big_q returns +0.0 for a vanishing Gaunt, never -0.0
             return (

@@ -12,14 +12,14 @@ sphere quadrature and evaluates the right-hand side through
 constants elsewhere still look plausible.  The divisor-floor check takes
 the divisors from the coupling operator, as ``reconstruct`` does, and
 compares ``specfun.coupling_gaunts`` with ``specfun.gaunt``, both looked up
-at call time: it fails above 4 ulp.  The phase-recurrence check compares
-the azimuthal factors e^{i mu phi} that synthesis builds by repeated
-multiplication (``zernike._phases``, looked up at call time) with cos and
-sin of mu phi in long double, for every mu <= DEGREE_CAP, and fails above
-mu eps.  The cone-synthesis check evaluates a z = 0 slice, whose rings
-share theta = pi/2 and so form cones, once whole and once in pieces too
-short for a cone, which take the per-degree ring path, and fails above
-1e-14 max|value|.
+at call time: it fails above 4 ulp.  The azimuthal-sum check compares the
+Horner sums sum_mu b_mu w^mu that synthesis makes (``zernike._horner``,
+looked up at call time) with the same sums in long double, for random
+coefficients to every order N <= DEGREE_CAP, and fails above Horner's
+forward-error bound.  The cone-synthesis check evaluates a z = 0 slice,
+whose rings share theta = pi/2 and so form cones, once whole and once in
+pieces too short for a cone, which take the per-degree ring path, and
+fails above 1e-14 max|value|.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .recon import (
     reconstruct,
     validate_schedule,
 )
-from .zernike import CoefficientField, _bases, _unpack, basis_gram, synthesize_ball_grid
+from .zernike import CoefficientField, _bases, _unpack, basis_gram
 
 __all__ = ["run_selftest"]
 
@@ -169,15 +169,8 @@ def _oracle_worst(series, oracle):
 
 def _check_oracle_quick():
     c = _random_field((3, 1), np.random.default_rng(2024))
-    quad = BallQuadrature()
-    # the oracle samples eta on quad's grid only
-    cube = synthesize_ball_grid(c, quad)
-
-    def eta(x, y, z):
-        return cube
-
     series = forward_measure(c, 1, 3)
-    oracle = oracle_measure(eta, 1, 3, quad)
+    oracle = oracle_measure(c, 1, 3, BallQuadrature())
     worst = _oracle_worst(series, oracle)
     return worst <= 1e-8, f"random field k <= 1, l <= 3: worst gap {worst:.3e} (tol 1e-8)"
 
@@ -251,21 +244,30 @@ def _check_divisor_floor(lmax, kmax):
     )
 
 
-def _check_phase_recurrence(n_angles, seed):
+def _check_azimuthal_sum(n_angles, seed):
     if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
         return True, "not run: long double is no wider than double on this platform"
     rng = np.random.default_rng(seed)
     special = [0.0, math.pi / 2, math.pi, 3 * math.pi / 2, 2 * math.pi - 1e-12]
     phi = np.concatenate([special, rng.uniform(0.0, 2 * math.pi, n_angles)])
-    cos, sin = zernike._phases(phi, specfun.DEGREE_CAP)
-    mu = np.arange(specfun.DEGREE_CAP + 1)[:, None]
-    # mu phi is exact in long double: mu needs 8 bits beyond phi's 53
-    angle = mu.astype(np.longdouble) * phi.astype(np.longdouble)
-    err = np.hypot((cos - np.cos(angle)).astype(float), (sin - np.sin(angle)).astype(float))
-    worst = float(np.max(err[1:] / mu[1:])) / np.finfo(float).eps
-    return worst <= 1.0 and not np.any(err[0]), (
-        f"e^(i mu phi) by recurrence for mu <= {specfun.DEGREE_CAP} at {phi.size} angles: "
-        f"worst error {worst:.3f} mu eps against long double (tol 1 mu eps)"
+    w = np.cos(phi) + 1j * np.sin(phi)
+    re, im = rng.standard_normal((2, specfun.DEGREE_CAP + 1, phi.size))
+    # sums to every order N >= 1 in long double (error below 1e-3 of the bound)
+    # against Horner's ((1 + sqrt(2) gamma_2)(1 + u))^N - 1 times sum |b_mu| |w|^mu
+    u = np.finfo(float).eps / 2
+    step = math.sqrt(2) * 2 * u / (1 - 2 * u) * (1 + u) + u
+    exact, power, scale = re[0] + 1j * im[0], w.astype(np.clongdouble), np.hypot(re[0], im[0])
+    worst = 0.0
+    for top in range(1, specfun.DEGREE_CAP + 1):
+        exact = exact + (re[top] + 1j * im[top]) * power
+        scale = scale + np.hypot(re[top], im[top]) * np.abs(w) ** top
+        power = power * w
+        got = zernike._horner(re[: top + 1], im[: top + 1], np.arange(phi.size), w)
+        bound = math.expm1(top * math.log1p(step)) * scale
+        worst = max(worst, float(np.max(np.abs((got - exact).astype(complex)) / bound)))
+    return worst <= 1.0, (
+        f"Horner sums to every order N <= {specfun.DEGREE_CAP} at {phi.size} angles: worst "
+        f"error {worst:.3f} of the forward-error bound against long double (tol 1)"
     )
 
 
@@ -301,7 +303,7 @@ _SUITE = (
     ("round trip", (_check_round_trip, 2, 3, 8, 12), (_check_round_trip, 20, 5, 14, 12)),
     ("schedule validation", (_check_schedules,), (_check_schedules,)),
     ("divisor floor", (_check_divisor_floor, 8, 3), (_check_divisor_floor, 20, 8)),
-    ("phase recurrence", (_check_phase_recurrence, 2000, 13), (_check_phase_recurrence, 20000, 13)),
+    ("azimuthal sum", (_check_azimuthal_sum, 2000, 13), (_check_azimuthal_sum, 20000, 13)),
     ("cone synthesis",
      (_check_cone_synthesis, 101, (20, 16, 12), 14), (_check_cone_synthesis, 201, (30, 26, 22), 14)),
 )

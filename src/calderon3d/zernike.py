@@ -34,7 +34,7 @@ certified, and downstream consumers refuse to treat its tail as zero.
 Measurements M(k, l, m) live on the same index set under the same caps,
 so they use the same container (``forward.MeasurementSet`` is this class).
 
-``project`` and ``forward.oracle_measure`` sample a field through one
+``project`` and ``forward.oracle_measure`` sample a callable through one
 helper, which rejects a result that does not have the grid's shape.
 
 Synthesis runs degree by degree.  For each ell, the signed coefficients
@@ -42,8 +42,8 @@ of every order form one real matrix, and its product with the rows
 R_l^k(r), k = 0..K, gives all orders' radial profiles at once.  The
 profiles are multiplied by the normalized Legendre rows P~_l^{|m|}(cos
 theta), which the recurrence derives from the previous two degrees, and
-summed into one amplitude per order pair +-m; the azimuthal factor comes
-last.  Everything before that factor depends on (r, theta) only, so
+summed into one amplitude per order m; the azimuthal factor comes last.
+Everything before that factor depends on (r, theta) only, so
 scattered points run it once per distinct (r, theta) pair, a ring, and
 each point gathers its ring's amplitudes: a plane z = const or a
 spherical grid puts many points on one ring.  Rings and points are
@@ -54,22 +54,23 @@ degree's matrix that feeds the real part.
 Rings are ordered by theta, then r, so rings on one polar angle are
 contiguous.  A run of at least ``_CONE`` of them inside a ring block is a
 cone (the plane z = 0 puts every ring but the origin's on theta = pi/2).
-A cone skips the per-degree passes: its Legendre values are folded into
-the coefficient matrices once per polar angle, into one matrix over
-every (row block, order) and (degree, k), and one GEMM of that fold with
-the stacked rows R_l^k of the cone's radii gives its amplitudes.  The
-GEMM sums degrees and radial indices in one product, so a cone's values
-may differ from the per-degree path's by ~1e-15 max|value|.  Which rings
-form cones depends only on the set of distinct rings in a call: shuffled
-or duplicated points get bit-identical values, while a subset that cuts
-a run below ``_CONE`` may move by ~1e-15 max|value|.
+A cone skips the per-degree passes: once per polar angle, its Legendre
+values and the Chebyshev coefficients of every R_l^k are folded into the
+coefficient matrices, and the product of that fold with the rows T_j(r),
+j <= D = max(ell + 2k), of the cone's radii gives its amplitudes.  The
+Chebyshev and the Jacobi forms of R_l^k are each within ~7e-14 of exact
+values at caps 66..48, in different ways, so cones differ from the
+per-degree path by up to ~3e-15 max|value| at caps 30..22, ~7e-15 at
+48..20 and ~1.1e-14 at 66..48.  Which rings form cones depends only on
+the set of distinct rings in a call: shuffled or duplicated points get
+bit-identical values, while a subset that cuts a run below ``_CONE`` may
+move by that much.
 
-The azimuthal factors e^{i mu phi}, mu = 0..lmax, come from one cos and
-one sin per point by repeated multiplication with e^{i phi}, not from a
-cos and a sin per (mu, point).  The error of that product stays within
-mu eps of the exact value for every mu <= DEGREE_CAP (measured worst
-about 0.6 mu eps; ``selftest`` checks the bound against long double),
-which is tighter than cos(mu phi) of the rounded product mu phi.
+Each point sums its ring's amplitudes against the powers of w = e^{i phi}
+by Horner's rule (``_horner``, which states its error bound; ``selftest``
+checks it against long double for every order up to DEGREE_CAP).
+``synthesize_ball_grid`` takes e^{i mu phi_j} at the exact angle
+2 pi (mu j mod n_phi) / n_phi.
 ``project`` and ``forward.oracle_measure`` read their Legendre rows from
 one table over all orders and degrees, filled by a single degree-major
 pass, instead of one order sweep per m.
@@ -473,13 +474,12 @@ def project(eta, kmax: int, degree_caps, quad: BallQuadrature | None = None) -> 
 # working set of ``synthesize`` is a few (lmax + 1) x _BLOCK arrays, so it
 # does not grow with the point count.
 _BLOCK = 2048
-# Points per azimuthal sub-block: a quarter of a ring block keeps the
-# gathered amplitudes and the phase tables small next to the ring stage's.
-_POINTS = _BLOCK // 4
+# Points per Horner sub-block: enough to amortise its few numpy calls per order.
+_POINTS = 2 * _BLOCK
 # Rings per cone: a run of rings with one polar angle this long, within a
 # ring block, takes one GEMM with its fold of coefficients and Legendre values.
 # At caps 48..20 the cone overtakes the per-degree path between 256 and 512
-# rings (a fold and a radial stack cost a few ms however short the run).
+# rings (a fold costs a few ms however short the run).
 _CONE = _BLOCK // 4
 
 
@@ -489,13 +489,11 @@ def _degree_matrices(c: CoefficientField, mode) -> dict:
     Returns {ell: M} with M of shape (B (ell + 1), K + 1), columns
     k = 0..K (K the largest stored k at that degree).  With a_m the
     signed coefficient s_m c_l^{k,m} (s_m the negative-order sign), the
-    row blocks are Re S, Im S, Re D, Im D over mu = 0..ell, where
-    S = a_mu + a_{-mu} and D = a_mu - a_{-mu} for mu > 0, and S = a_0,
-    D = 0 for mu = 0.  Orders m and -m share the Legendre row P~_l^mu, so
-    the pair enters the sum as S cos(mu phi) + i D sin(mu phi).  ``mode`` is
-    "full" (B = 4) or a nonnegative integer K that keeps the entries with
-    k <= K and only the blocks Re S and Im D (B = 2), the ones the real
-    part of the sum reads.
+    row blocks are Re a_mu, Im a_mu, Re a_-mu, Im a_-mu over mu = 0..ell
+    (a_-0 = 0), the factors of w^mu and conj(w)^mu, w = e^{i phi}.  ``mode``
+    is "full" (B = 4) or a nonnegative integer K that keeps the entries with
+    k <= K and the blocks Re S and Im D (B = 2), S, D = a_mu +- a_-mu, as the
+    real part of the sum is that of sum_mu (Re S + i Im D) w^mu.
     """
     if mode != "full" and (
         isinstance(mode, bool) or not isinstance(mode, (int, np.integer)) or mode < 0
@@ -508,15 +506,13 @@ def _degree_matrices(c: CoefficientField, mode) -> dict:
         return {}
     k, ell, m = _unpack(c.base, pos)
     val = _negative_order_sign(m) * c.data[pos]
-    mu = np.abs(m)
-    # [ell, S/D, Re/Im, mu, k]; add.at, because m and -m share a slot
+    # [ell, a_mu/a_-mu, Re/Im, mu, k]: every index has a slot of its own; a
+    # real output stores -Im a_-mu and adds the pair into Re S and Im D
     packed = np.zeros((ell.max() + 1, 2, 2, ell.max() + 1, k.max() + 1))
-    for part, weight in ((0, 1.0), (1, np.sign(m))):
-        np.add.at(packed, (ell, part, 0, mu, k), weight * val.real)
-        np.add.at(packed, (ell, part, 1, mu, k), weight * val.imag)
-    packed = packed.reshape(ell.max() + 1, 4, ell.max() + 1, k.max() + 1)
-    if mode != "full":
-        packed = packed[:, [0, 3]]
+    side, mu = (m < 0).astype(np.intp), np.abs(m)
+    packed[ell, side, 0, mu, k] = val.real
+    packed[ell, side, 1, mu, k] = np.where(side & (mode != "full"), -val.imag, val.imag)
+    packed = packed.reshape(len(packed), 4, *packed.shape[3:]) if mode == "full" else packed.sum(1)
     top = np.full(ell.max() + 1, -1)
     np.maximum.at(top, ell, k)
     return {
@@ -532,15 +528,17 @@ def _degrees(mats: dict, r: np.ndarray, x: np.ndarray):
     ``_degree_matrices``), ascending.  ``profiles`` has shape
     (B, ell + 1, len(r)) and holds the radial profiles sum_k M[., k] R_l^k(r)
     of the B row blocks of M, from one GEMM; ``rows[mu]`` is
-    P~_l^mu(x), mu = 0..ell.  Only the current degree's profiles and the
-    Legendre recurrence's last two degrees are alive.
+    P~_l^mu(x), mu = 0..ell.  Every degree's profiles reuse one buffer, which
+    the next degree overwrites, and the Legendre recurrence keeps two degrees.
     """
     if not mats:
         return
+    buf = np.empty((len(mats[max(mats)]), len(r)))  # the largest degree's rows
     for ell, rows in enumerate(_norm_legendre_degrees(max(mats), x)):
         mat = mats.get(ell)
         if mat is not None:
-            profiles = mat @ _radial_zernike_rows(ell, mat.shape[1] - 1, r)
+            radial = _radial_zernike_rows(ell, mat.shape[1] - 1, r)
+            profiles = np.matmul(mat, radial, out=buf[: len(mat)])
             yield ell, profiles.reshape(-1, ell + 1, len(r)), rows
 
 
@@ -554,22 +552,19 @@ def _amplitudes(mats: dict, r: np.ndarray, x: np.ndarray, amp: np.ndarray) -> No
         amp[:, : ell + 1] += profiles
 
 
-def _phases(phi: np.ndarray, lmax: int):
-    """cos(mu phi) and sin(mu phi), rows mu = 0..lmax, as C-contiguous arrays.
-
-    e^{i mu phi} comes from one cos and one sin per angle by repeated
-    multiplication with e^{i phi}.  Its error grows like mu eps and stays
-    within mu eps of the exact value for mu <= DEGREE_CAP, below what
-    rounding mu phi costs cos(mu phi) directly.
-    """
-    z = np.empty((lmax + 1, phi.size), dtype=complex)
-    z[0] = 1.0
-    if lmax:
-        z[1] = np.cos(phi) + 1j * np.sin(phi)
-    # row by row: np.cumprod along axis 0 runs this recurrence ~2.5x slower
-    for mu in range(2, lmax + 1):
-        np.multiply(z[mu - 1], z[1], out=z[mu])
-    return np.ascontiguousarray(z.real), np.ascontiguousarray(z.imag)
+def _horner(re: np.ndarray, im: np.ndarray, at: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_mu b_mu w^mu by Horner's rule, b_mu = re[mu, at] + i im[mu, at]:
+    one complex product and gather per order, no table of powers of w.  It is
+    within ((1 + sqrt(2) gamma_2)(1 + u))^n - 1 times sum_mu |b_mu| |w|^mu of
+    the exact sum, n = len(re) - 1 (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, sec. 5.1 with lemma 3.5's complex product)."""
+    p = np.empty(w.shape, dtype=complex)
+    p.real, p.imag = re[-1].take(at), im[-1].take(at)
+    for mu in range(len(re) - 2, -1, -1):
+        p *= w
+        p.real += re[mu].take(at)
+        p.imag += im[mu].take(at)
+    return p
 
 
 def _rings(r: np.ndarray, theta: np.ndarray):
@@ -600,34 +595,40 @@ def _cones(theta: np.ndarray):
     return zip(cuts[:-1][long].tolist(), cuts[1:][long].tolist())
 
 
-def _fold(mats: dict, x: np.ndarray, blocks: int) -> np.ndarray:
-    """fold(theta) at the polar cosine ``x``, an array of one element, for
-    ``blocks`` (B) row blocks.
+def _chebyshev_coefficients(mats: dict) -> dict:
+    """{ell: C} with R_l^k = sum_j C[k, j] T_j, j = 0..D = max(ell + 2k), for
+    the degrees in ``mats``: the interpolant at D + 1 Chebyshev points, exact
+    for these polynomials.  R_l^k has parity (-1)^l, so the rows at |x| give
+    its values, and its coefficients of the other parity are zeros."""
+    top = max(ell + 2 * mat.shape[1] - 2 for ell, mat in mats.items())
+    j = np.arange(top + 1)
+    # T_j(x_i) = cos(j (2i + 1) pi / (2D + 2)), the angle reduced by whole turns
+    dct = np.cos(np.pi * (np.outer(j, 2 * j + 1) % (4 * top + 4)) / (2 * top + 2))
+    x, scale = np.cos(np.pi * (2 * j + 1) / (2 * top + 2)), np.where(j, 2.0, 1.0) / (top + 1)
+    return {ell: (np.sign(x) ** ell * _radial_zernike_rows(ell, mat.shape[1] - 1, np.abs(x)))
+            @ dct.T * (scale * ((j + ell) % 2 == 0)) for ell, mat in mats.items()}
 
-    Row (b, mu), column (ell, k) holds M_l[(b, mu), k] P~_l^mu(x), and 0
-    for mu > ell, so fold @ the rows R_l^k(r) stacked by ``_radial_stack``
-    are the amplitudes of ``_amplitudes`` at radii r and polar cosine x.
+
+def _fold(mats: dict, cheb: dict, x: np.ndarray, blocks: int) -> np.ndarray:
+    """fold(theta) at the polar cosine ``x``, an array of one element, for
+    ``blocks`` (B) row blocks and the coefficients ``cheb`` of
+    ``_chebyshev_coefficients``: row (b, mu), column j sums
+    M_l[(b, mu), k] P~_l^mu(x) C_l[k, j] over (ell, k), so fold @ the rows
+    T_j(r) are the amplitudes of ``_amplitudes`` at radii r and x.
     """
     lmax = max(mats)
-    fold = np.zeros((blocks, lmax + 1, sum(m.shape[1] for m in mats.values())))
-    col = 0
+    fold = np.zeros((blocks, lmax + 1, cheb[lmax].shape[1]))
     for ell, rows in enumerate(_norm_legendre_degrees(lmax, x)):
-        mat = mats.get(ell)
-        if mat is not None:
-            width = mat.shape[1]
-            fold[:, : ell + 1, col : col + width] = mat.reshape(-1, ell + 1, width) * rows
-            col += width
-    return fold.reshape(-1, col)
+        if ell in mats:
+            fold[:, : ell + 1] += (mats[ell].reshape(blocks, ell + 1, -1) * rows) @ cheb[ell]
+    return fold.reshape(blocks * (lmax + 1), -1)
 
 
-def _radial_stack(mats: dict, r: np.ndarray, out: np.ndarray) -> None:
-    """Write the rows R_l^k(r) of every degree in ``mats`` into ``out``, in
-    the column order of ``_fold``."""
-    row = 0
-    for ell, mat in mats.items():
-        width = mat.shape[1]
-        out[row : row + width] = _radial_zernike_rows(ell, width - 1, r)
-        row += width
+def _chebyshev_rows(r: np.ndarray, out: np.ndarray) -> None:
+    """Write the rows T_j(r), j = 0..len(out) - 1, into ``out``."""
+    out[0], out[1:2] = 1.0, r
+    for j in range(2, len(out)):
+        np.subtract(2.0 * r * out[j - 1], out[j - 2], out=out[j])
 
 
 def synthesize(c: CoefficientField, r, theta, phi, mode="full"):
@@ -644,15 +645,14 @@ def synthesize(c: CoefficientField, r, theta, phi, mode="full"):
     block, every degree multiplies its radial profiles by its Legendre
     rows and adds them into one amplitude per order pair +-mu, except on
     cones, runs of at least ``_CONE`` rings with one theta, which take one
-    GEMM of the fold of that theta (``_fold``) with their stacked radial
-    rows (``_radial_stack``).  The points of the block's rings then
-    gather their ring's amplitudes, ``_BLOCK // 4`` points at a time, and
-    apply cos(mu phi) and sin(mu phi), built by the recurrence of
-    ``_phases`` (within mu eps of exact).  Points on distinct rings are
-    the case of one point per ring.  Besides the output and a few index
-    arrays over the points, memory stays bounded for any number of points:
-    the radial stack is as wide as a ring block, at most ``_BLOCK``, and
-    only the last cone's fold is kept.
+    GEMM of the fold of that theta (``_fold``) times the Chebyshev
+    coefficients of the radial rows with the rows T_j(r) of their radii.
+    Each point then sums its ring's amplitudes against the powers of
+    w = e^{i phi} by Horner's rule (``_horner``), ``_POINTS`` at a time.
+    Points on distinct rings are the case of one point per ring.  Besides
+    the output and a few index arrays over the points, memory stays bounded
+    for any number of points: the Chebyshev rows are as wide as a ring
+    block, at most ``_BLOCK``, and only the last cone's fold is kept.
 
     A point's value depends on the set of distinct rings in the call, not
     on the order or repetition of the points: shuffled or duplicated
@@ -667,17 +667,17 @@ def synthesize(c: CoefficientField, r, theta, phi, mode="full"):
     rf, tf, pf = r_a.ravel(), th_a.ravel(), ph_a.ravel()
     lmax = max(mats, default=0)
     blocks = 4 if mode == "full" else 2
-    out = np.empty(rf.shape, dtype=complex if mode == "full" else float)
     order, ring, start = _rings(rf, tf)
     start = np.append(start, order.size)
     n_rings = start.size - 1
-    # one amplitude buffer serves every ring block, so the heap keeps its
-    # shape from block to block; regrowing it costs a page fault per page
+    # one amplitude buffer serves every ring block, so the heap keeps its shape
+    # from block to block (regrowing it costs a page fault per page); made
+    # after it, the output left ~3k page faults per call at L (ru_minflt)
     amp_all = np.empty((blocks * (lmax + 1), max(min(n_rings, _BLOCK), 2)))
-    # the radial stack, allocated at the first cone, and the fold of the
-    # last cone's theta: rings are theta-major, so a theta's cones are
-    # consecutive.  Inputs without cones allocate neither.
-    stack = fold = fold_theta = None
+    out = np.empty(rf.shape, dtype=complex if mode == "full" else float)
+    # made at the first cone; only the last cone theta's fold is kept, as
+    # rings are theta-major, so a theta's cones are consecutive
+    cheb = rows_t = fold = fold_theta = None
     for lo in range(0, n_rings, _BLOCK):
         hi = min(lo + _BLOCK, n_rings)
         at_ring = order[start[lo:hi]]  # one point per ring
@@ -685,13 +685,14 @@ def synthesize(c: CoefficientField, r, theta, phi, mode="full"):
         amp = flat.reshape(blocks, lmax + 1, -1)
         rest = np.ones(hi - lo, dtype=bool)
         for i, j in _cones(tf[at_ring]) if mats else ():
-            if stack is None:
-                stack = np.empty((sum(m.shape[1] for m in mats.values()), amp_all.shape[1]))
+            if cheb is None:
+                cheb = _chebyshev_coefficients(mats)
+                rows_t = np.empty((cheb[lmax].shape[1], amp_all.shape[1]))
             if tf[at_ring[i]] != fold_theta:
                 fold_theta = tf[at_ring[i]]
-                fold = _fold(mats, np.cos(tf[at_ring[i : i + 1]]), blocks)
-            _radial_stack(mats, rf[at_ring[i:j]], stack[:, : j - i])
-            np.matmul(fold, stack[:, : j - i], out=flat[:, i:j])
+                fold = _fold(mats, cheb, np.cos(tf[at_ring[i : i + 1]]), blocks)
+            _chebyshev_rows(rf[at_ring[i:j]], rows_t[:, : j - i])
+            np.matmul(fold, rows_t[:, : j - i], out=flat[:, i:j])
             rest[i:j] = False
         # A lone ring or point would take BLAS's matrix-vector route and
         # numpy's strided reduction, which round differently from a block;
@@ -707,16 +708,15 @@ def synthesize(c: CoefficientField, r, theta, phi, mode="full"):
         for first in range(start[lo], start[hi], _POINTS):
             pts = slice(first, min(first + _POINTS, start[hi]))
             width = max(pts.stop - pts.start, 2)
-            idx = np.resize(order[pts], width)
-            a = np.take(amp, np.resize(ring[pts] - lo, width), axis=2)
-            cos, sin = _phases(pf[idx], lmax)
-            # out.real is out itself for a real output
-            out.real[idx] = np.einsum("mn,mn->n", a[0], cos) - np.einsum("mn,mn->n", a[-1], sin)
-            if mode == "full":
-                out.imag[idx] = np.einsum("mn,mn->n", a[1], cos) + np.einsum("mn,mn->n", a[2], sin)
-        # every ring has a point, so these are bound; freed now, they neither
-        # raise the next ring stage's peak nor make it regrow the heap
-        del a, cos, sin
+            idx, at = np.resize(order[pts], width), np.resize(ring[pts] - lo, width)
+            w, ang = np.empty(width, dtype=complex), pf[idx]
+            w.real, w.imag = np.cos(ang), np.sin(ang)
+            total = _horner(amp[0], amp[1], at, w)
+            if mode == "full" and lmax:
+                # orders -mu, mu >= 1: conj(w) sum_mu a_{-mu} conj(w)^(mu - 1)
+                w = w.conj()
+                total += w * _horner(amp[2, 1:], amp[3, 1:], at, w)
+            out[idx] = total if mode == "full" else total.real
     return out.item() if scalar else out.reshape(shape)
 
 
@@ -736,8 +736,9 @@ def synthesize_ball_grid(c: CoefficientField, quad: BallQuadrature, mode="full")
     and its Legendre rows (over theta) to one amplitude per order pair
     +-mu.  The per-degree factors are stacked along ell, so one batched
     matrix product sums those outer products, and a single tensordot with
-    cos(mu phi) and sin(mu phi) from ``_phases`` finishes the sum.
-    ``mode`` is as in ``synthesize``.
+    cos(mu phi_j) and sin(mu phi_j) finishes the sum; mu phi_j is taken at
+    the exact angle 2 pi (mu j mod n_phi) / n_phi.  ``mode`` is as in
+    ``synthesize``.
     """
     mats = _degree_matrices(c, mode)
     lmax = max(mats, default=0)
@@ -748,10 +749,13 @@ def synthesize_ball_grid(c: CoefficientField, quad: BallQuadrature, mode="full")
         rows_by_ell[: ell + 1, ell] = rows
     amp = profiles_by_ell @ rows_by_ell  # (B, lmax + 1, n_r, n_theta)
     if mode == "full":
-        pairs = np.concatenate([amp[0] + 1j * amp[1], 1j * amp[2] - amp[3]])
+        plus, minus = amp[0] + 1j * amp[1], amp[2] + 1j * amp[3]
+        pairs = np.concatenate([plus + minus, 1j * (plus - minus)])
     else:
         pairs = np.concatenate([amp[0], -amp[1]])
-    return np.tensordot(pairs, np.concatenate(_phases(quad.phi, lmax)), axes=(0, 0))
+    angle = 2.0 * np.pi * (np.outer(np.arange(lmax + 1), np.arange(quad.n_phi)) % quad.n_phi)
+    angle /= quad.n_phi
+    return np.tensordot(pairs, np.concatenate([np.cos(angle), np.sin(angle)]), axes=(0, 0))
 
 
 def basis_gram(quad: BallQuadrature, degree_cap: int):

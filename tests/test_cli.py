@@ -442,17 +442,18 @@ def test_selftest_catches_a_gaunt_sign_flip(monkeypatch):
     assert "FAIL  surface-gradient identity" in text
 
 
-def test_selftest_catches_phases_from_a_rounded_angle(monkeypatch):
-    # cos(mu phi) of the rounded product mu * phi, the direct evaluation the
-    # recurrence replaced, misses the mu eps bound at high orders
-    def direct(phi, lmax):
-        mu_phi = np.multiply.outer(np.arange(lmax + 1), phi)
-        return np.cos(mu_phi), np.sin(mu_phi)
+def test_selftest_catches_an_azimuthal_sum_from_single_precision_inputs(monkeypatch):
+    # coefficients and e^{i phi} rounded to single precision before Horner's
+    # rule: the sums miss the double-precision forward-error bound
+    original = zernike._horner
 
-    monkeypatch.setattr(zernike, "_phases", direct)
+    def single(re, im, at, w):
+        return original(re.astype(np.float32), im.astype(np.float32), at, w.astype(np.complex64))
+
+    monkeypatch.setattr(zernike, "_horner", single)
     stream = io.StringIO()
     assert not selftest.run_selftest("quick", stream=stream)
-    assert "FAIL  phase recurrence" in stream.getvalue()
+    assert "FAIL  azimuthal sum" in stream.getvalue()
 
 
 def test_selftest_failure_exits_5(monkeypatch):

@@ -18,7 +18,7 @@ from calderon3d.forward import (
 from calderon3d.quadrature import BallQuadrature
 from calderon3d.recon import MissingMeasurementError, TruncationSchedule, big_q, reconstruct
 from calderon3d.serialize import dump_measurement_set, load_measurement_set
-from calderon3d.zernike import CoefficientField, ZernikeIndex, synthesize_xyz
+from calderon3d.zernike import CoefficientField, ZernikeIndex, synthesize_ball_grid, synthesize_xyz
 
 from reference import add_noise_entrywise, first_unsupported_demand_loop
 from test_recon import random_field
@@ -193,6 +193,17 @@ def test_oracle_matches_series_on_a_random_field():
     oracle = oracle_measure(field_as_eta(c), 4, caps, BallQuadrature(24, 32, 64))
     worst = max(abs(series.values[i] - oracle.values[i]) for i in series.values)
     assert worst < 1e-8
+
+
+def test_oracle_of_a_field_equals_the_oracle_of_its_ball_grid_samples():
+    # a CoefficientField is sampled by synthesize_ball_grid, exactly what a
+    # callable returning that cube hands the oracle
+    quad = BallQuadrature(24, 32, 64)
+    c = random_field(2, (9, 7, 5), np.random.default_rng(29))
+    cube = synthesize_ball_grid(c, quad)
+    closure = oracle_measure(lambda x, y, z: cube, 2, (9, 7, 5), quad)
+    field = oracle_measure(c, 2, (9, 7, 5), quad)
+    assert np.array_equal(complex_bits(field.data), complex_bits(closure.data))
 
 
 def test_oracle_of_zero_field_is_zero():

@@ -376,13 +376,15 @@ def test_cold_operator_build_uses_no_exact_3j_sums(monkeypatch):
 
 
 def test_order_free_factor_equals_its_rational_form():
-    # exhaustive over kmax <= 11 and every degree up to DEGREE_CAP
+    # exhaustive over kmax <= 11 and every degree up to DEGREE_CAP, at one
+    # degree (as big_q asks) and over all degrees (as the operator build asks)
     for k in range(12):
         for s in range(k + 1):
             for q in range(k - s + 1):
+                row = recon._order_free_factor(np.arange(specfun.DEGREE_CAP + 1), s, k, q)
                 for ell in range(specfun.DEGREE_CAP + 1):
                     want = order_free_factor_fraction(ell, s, k, q)
-                    assert recon._order_free_factor(ell, s, k, q) == want, (ell, s, k, q)
+                    assert recon._order_free_factor(ell, s, k, q) == want == row[ell], (ell, s, k, q)
 
 
 def test_operator_entries_equal_big_q():

@@ -446,23 +446,35 @@ def test_synthesize_matches_psi_sum(case):
         assert synthesize(field, r, th, ph) == pytest.approx(ref, rel=1e-11, abs=1e-13)
 
 
-def test_phase_recurrence_is_within_mu_eps():
-    # the reference: cos and sin of mu phi in long double, where mu phi is
-    # exact (mu <= 128 needs 8 bits beyond phi's 53)
+def test_horner_sums_are_within_their_forward_error_bound():
+    # Horner's rule for sum_{mu <= N} b_mu w^mu takes N complex products,
+    # each within sqrt(2) gamma_2 (Higham, lemma 3.5), and N sums, each
+    # within u, so its error is at most ((1 + sqrt(2) gamma_2)(1 + u))^N - 1
+    # times sum |b_mu| |w|^mu (Higham, sec. 5.1).  The reference is the sum
+    # in long double, whose own error is below 1e-3 of that bound.
     assert np.finfo(np.longdouble).eps < 1e-18
     rng = np.random.default_rng(128)
     special = np.array([0.0, math.pi / 2, math.pi, 3 * math.pi / 2, 2 * math.pi - 1e-12])
-    phis = np.concatenate([special, rng.uniform(0.0, 2 * math.pi, 100_000)])
-    mu = np.arange(DEGREE_CAP + 1)[:, None]
+    phi = np.concatenate([special, rng.uniform(0.0, 2 * math.pi, 5000)])
+    w = np.cos(phi) + 1j * np.sin(phi)
+    re, im = rng.standard_normal((2, DEGREE_CAP + 1, phi.size))
+    u = np.finfo(float).eps / 2
+    step = math.sqrt(2) * 2 * u / (1 - 2 * u) * (1 + u) + u  # (1 + sqrt(2) gamma_2)(1 + u) - 1
+    power = np.ones(phi.size, dtype=np.clongdouble)
+    exact = np.zeros(phi.size, dtype=np.clongdouble)
+    scale = np.zeros(phi.size)
     worst = 0.0
-    for phi in np.array_split(phis, 10):  # keeps the long-double tables small
-        cos, sin = zernike._phases(phi, DEGREE_CAP)
-        assert cos.flags.c_contiguous and sin.flags.c_contiguous
-        angle = mu.astype(np.longdouble) * phi.astype(np.longdouble)
-        err = np.hypot((cos - np.cos(angle)).astype(float), (sin - np.sin(angle)).astype(float))
-        assert np.all(err <= mu * np.finfo(float).eps)
-        worst = max(worst, float(np.max(err[1:] / mu[1:])))
-    print(f"worst phase error {worst / np.finfo(float).eps:.3f} mu eps")
+    for top in range(DEGREE_CAP + 1):  # every order N
+        exact += (re[top] + 1j * im[top]) * power
+        scale += np.hypot(re[top], im[top]) * np.abs(w) ** top
+        power *= w
+        got = zernike._horner(re[: top + 1], im[: top + 1], np.arange(phi.size), w)
+        err = np.abs((got - exact).astype(complex))
+        bound = math.expm1(top * math.log1p(step)) * scale
+        assert np.all(err <= bound), top  # exact at N = 0, where the bound is 0
+        worst = max(worst, float(np.max(err / np.where(top, bound, 1.0))))
+    print(f"worst Horner error {worst:.3f} of the forward-error bound")
+    assert worst >= 1e-3  # the bound is not vacuous
 
 
 def slice_points(axis, offset, n):
@@ -588,6 +600,29 @@ def test_synthesis_working_memory_is_bounded_in_the_point_count():
         assert peak(evaluate, 100_000) - peak(evaluate, 50_000) <= 8 * output_growth, evaluate
 
 
+def test_cone_synthesis_peak_is_set_by_chebyshev_rows():
+    # On the z = 0 plane at caps 66, 64, ..., 48 every ring but the origin's
+    # lies on a cone.  Besides ~24 float64 per point (coordinates, ring
+    # indices, the output), synthesis may keep the ring block's amplitudes,
+    # a fold of D + 1 columns and a few tables of D + 1 rows over a ring
+    # block, D = 66 the largest degree ell + 2k; a table with a row per
+    # (ell, k) pair, 580 of them, does not fit.
+    caps = tuple(range(66, 47, -2))
+    field = random_field(9, caps, np.random.default_rng(6648))
+    x, y, z = slice_points("z", 0.0, 201)
+    lmax = top = 66
+    bound = 8 * (24 * x.size + 4 * (lmax + 1) * (zernike._BLOCK + top + 1)
+                 + 4 * (top + 1) * zernike._BLOCK)
+    tracemalloc.start()
+    try:
+        synthesize_xyz(field, x, y, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print(f"traced peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB")
+    assert peak <= bound
+
+
 def ring_points(rng, n_rings, n):
     """``n`` points on ``n_rings`` random (r, theta) rings, each ring hit at
     least once, at random azimuths."""
@@ -674,25 +709,23 @@ def test_ring_stage_runs_once_per_distinct_ring(monkeypatch):
     inside = x * x + y * y <= 1.0
     x, y, z = x[inside], y[inside], np.zeros(int(inside.sum()))
     r, th, _ = zernike._spherical_from_cartesian(x, y, z)
-    radii = {}
-    rows = zernike._radial_zernike_rows
+    radii = []
+    rows = zernike._chebyshev_rows
 
-    def counting_rows(ell, kmax, r):
-        radii.setdefault(ell, []).append(r)
-        return rows(ell, kmax, r)
+    def counting_rows(r, out):
+        radii.append(r)
+        return rows(r, out)
 
-    monkeypatch.setattr(zernike, "_radial_zernike_rows", counting_rows)
+    monkeypatch.setattr(zernike, "_chebyshev_rows", counting_rows)
     received.clear()
     synthesize_xyz(field, x, y, z)
     rings = len(set(zip(r.tolist(), th.tolist())))
     print(f"z = 0 slice: {x.size} points on {rings} rings")
     # every ring but the origin's lies on theta = pi/2, a cone: only the
     # origin ring, repeated to two columns, reaches the per-degree path, and
-    # each degree evaluates its radial rows once per distinct radius
+    # the cones evaluate their Chebyshev rows once per distinct radius
     assert received == [2] and rings == np.unique(r).size < x.size // 5
-    assert sorted(radii) == list(range(7))
-    for evaluated in radii.values():
-        assert np.array_equal(np.sort(np.concatenate(evaluated)), np.append(0.0, np.unique(r)))
+    assert np.array_equal(np.sort(np.concatenate(radii)), np.unique(r[r > 0]))
 
 
 def test_ring_heavy_synthesis_keeps_working_memory_bounded():
