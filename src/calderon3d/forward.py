@@ -44,7 +44,6 @@ from .zernike import (
     _sample_on_ball,
     _unpack,
     as_caps,
-    synthesize_ball_grid,
 )
 
 __all__ = [
@@ -169,14 +168,13 @@ def oracle_measure(eta, K: int, degree_caps, quad: BallQuadrature | None = None)
 
     Samples the field once and integrates the angular-kernel form of the
     measurement separably (see ``_oracle_values``).  ``eta`` is a callable
-    eta(x, y, z) or a CoefficientField, sampled by ``synthesize_ball_grid``.
+    eta(x, y, z) or a CoefficientField, sampled by the rule of
+    ``zernike.project`` (``zernike._sample_on_ball``).
     """
     caps = as_caps(K, degree_caps)
     if quad is None:
         quad = BallQuadrature()
-    cube = (synthesize_ball_grid(eta, quad) if isinstance(eta, CoefficientField)
-            else _sample_on_ball(eta, quad))
-    values = _oracle_values(cube, caps, quad)
+    values = _oracle_values(_sample_on_ball(eta, quad), caps, quad)
     return MeasurementSet._packed(values, np.ones(values.size, dtype=bool), caps)
 
 

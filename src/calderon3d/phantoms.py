@@ -2,8 +2,9 @@
 
 Three families: a localized Gaussian bump exp(-a |x - c|^2) with center c
 in the closed unit ball, a single basis function psi_l^{k,m}, and the
-zero field.  Each builds a vectorized callable eta(x, y, z) usable by the
-projection and quadrature routines.
+zero field.  The Gaussian builds a vectorized callable eta(x, y, z); the
+others build their one-entry or empty CoefficientField, which ``project``
+and the oracle sample separably (``zernike.synthesize_ball_grid``).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .zernike import ZernikeIndex, psi_eval, _spherical_from_cartesian
+from .zernike import CoefficientField, ZernikeIndex
 
 __all__ = ["PhantomSpec", "PHANTOM_NAMES"]
 
@@ -57,25 +58,18 @@ class PhantomSpec:
         object.__setattr__(self, "index", idx)
 
     def build(self):
-        """Vectorized field eta(x, y, z) on Cartesian coordinate arrays."""
-        if self.name == "gaussian":
-            cx, cy, cz = self.center
-            a = self.sharpness
-
-            def gaussian(x, y, z):
-                return np.exp(-a * ((x - cx) ** 2 + (y - cy) ** 2 + (z - cz) ** 2))
-
-            return gaussian
+        """The field: for "gaussian" a vectorized callable eta(x, y, z) on
+        Cartesian coordinate arrays, for "basis" the CoefficientField with
+        the one entry 1 at ``index``, for "zero" the empty CoefficientField."""
         if self.name == "basis":
-            k, ell, m = self.index
+            k, ell, _ = self.index
+            return CoefficientField({self.index: 1.0}, k, ell)
+        if self.name == "zero":
+            return CoefficientField({}, 0, 0)
+        cx, cy, cz = self.center
+        a = self.sharpness
 
-            def basis(x, y, z):
-                r, theta, phi = _spherical_from_cartesian(x, y, z)
-                return psi_eval(k, ell, m, r, theta, phi)
+        def gaussian(x, y, z):
+            return np.exp(-a * ((x - cx) ** 2 + (y - cy) ** 2 + (z - cz) ** 2))
 
-            return basis
-
-        def zero(x, y, z):
-            return np.zeros(np.broadcast(np.asarray(x), np.asarray(y), np.asarray(z)).shape)
-
-        return zero
+        return gaussian

@@ -3,7 +3,7 @@
 Two levels: "quick" exercises every check on reduced index ranges and
 finishes in seconds; "full" runs the complete ranges (exhaustive Gaunt
 selection, all single-basis oracle comparisons, the 20-field round
-trip) and takes about 15 s.
+trip) and takes about 4 s.
 
 The surface-gradient identity check integrates the left-hand side with
 sphere quadrature and evaluates the right-hand side through

@@ -34,8 +34,8 @@ certified, and downstream consumers refuse to treat its tail as zero.
 Measurements M(k, l, m) live on the same index set under the same caps,
 so they use the same container (``forward.MeasurementSet`` is this class).
 
-``project`` and ``forward.oracle_measure`` sample a callable through one
-helper, which rejects a result that does not have the grid's shape.
+``project`` and ``forward.oracle_measure`` sample through one helper: a
+CoefficientField by ``synthesize_ball_grid``, a callable on the grid.
 
 Synthesis runs degree by degree.  For each ell, the signed coefficients
 of every order form one real matrix, and its product with the rows
@@ -168,11 +168,9 @@ def _radial_zernike_rows(ell: int, kmax: int, r) -> np.ndarray:
     """Rows R_l^k(r), k = 0..kmax, from one Jacobi recurrence in k.
 
     Row k is sqrt(2l+4k+3) r^l P_k^{(0, l+1/2)}(2r^2 - 1); every row is
-    bit-identical to ``radial_zernike(ell, k, r)``.
+    bit-identical to ``radial_zernike(ell, k, r)``; its callers check r.
     """
     ra = np.asarray(r, dtype=float)
-    if np.any((ra < 0.0) | (ra > 1.0)):
-        raise ValueError("radius out of domain [0, 1]")
     x = 2.0 * ra * ra - 1.0
     beta = ell + 0.5
     r_ell = ra**ell
@@ -205,6 +203,8 @@ def radial_zernike(ell: int, k: int, r):
     if ell < 0 or k < 0:
         raise ValueError(f"indices must be nonnegative, got ell={ell}, k={k}")
     ra = np.asarray(r, dtype=float)
+    if np.any((ra < 0.0) | (ra > 1.0)):
+        raise ValueError("radius out of domain [0, 1]")
     acc = _radial_zernike_rows(ell, k, ra)[-1]
     return float(acc) if ra.ndim == 0 else acc
 
@@ -401,8 +401,11 @@ def _spherical_from_cartesian(x, y, z):
 
 
 def _sample_on_ball(eta, quad: BallQuadrature) -> np.ndarray:
-    """eta(x, y, z) on the (n_r, n_theta, n_phi) grid of ``quad``; a result
-    of any other shape raises ValueError."""
+    """eta on the (n_r, n_theta, n_phi) grid of ``quad``: a CoefficientField
+    by ``synthesize_ball_grid``, a callable as eta(x, y, z) on the grid's
+    Cartesian nodes, where a result of any other shape raises ValueError."""
+    if isinstance(eta, CoefficientField):
+        return synthesize_ball_grid(eta, quad)
     x, y, z = quad.cartesian_grid()
     cube = np.asarray(eta(x, y, z))
     if cube.shape != x.shape:
@@ -426,9 +429,9 @@ def project(eta, kmax: int, degree_caps, quad: BallQuadrature | None = None) -> 
 
     Parameters
     ----------
-    eta : callable
-        Field on the ball, called as eta(x, y, z) on the cartesian node
-        arrays of ``quad``; a result not of their shape raises ValueError.
+    eta : callable or CoefficientField
+        Field on the ball, sampled on ``quad`` by ``_sample_on_ball``; a
+        callable whose result does not have the grid's shape raises ValueError.
     kmax, degree_caps : int, int or sequence
         Support bounds of the requested expansion.
     quad : BallQuadrature, optional
@@ -665,6 +668,8 @@ def synthesize(c: CoefficientField, r, theta, phi, mode="full"):
     )
     scalar, shape = r_a.ndim == 0, r_a.shape
     rf, tf, pf = r_a.ravel(), th_a.ravel(), ph_a.ravel()
+    if np.any((rf < 0.0) | (rf > 1.0)):  # checked once per call; NaN gives NaN
+        raise ValueError("radius out of domain [0, 1]")
     lmax = max(mats, default=0)
     blocks = 4 if mode == "full" else 2
     order, ring, start = _rings(rf, tf)

@@ -79,6 +79,25 @@ def test_project_rejects_bad_phantom_parameters(tmp_path):
             PhantomSpec(**bad)
 
 
+def test_basis_and_zero_phantoms_build_coefficient_fields(tmp_path, capsys):
+    basis = PhantomSpec("basis", index=(1, 2, -1)).build()
+    one = zernike.CoefficientField({(1, 2, -1): 1.0}, 1, 2)
+    zero, empty = PhantomSpec("zero").build(), zernike.CoefficientField({}, 0, 0)
+    for built, want in ((basis, one), (zero, empty)):
+        assert isinstance(built, zernike.CoefficientField)
+        assert built.degree_caps == want.degree_caps and built.certified == want.certified
+        assert np.array_equal(built.data, want.data)
+        assert np.array_equal(built.present, want.present)
+    # a degree past DEGREE_CAP is a valid index but no field: build() fails
+    with pytest.raises(ValueError, match="exceeds DEGREE_CAP"):
+        PhantomSpec("basis", index=(0, specfun.DEGREE_CAP + 1, 0)).build()
+    out = tmp_path / "x.json"
+    assert run(["project", "--phantom", "basis", "--index", f"0,{specfun.DEGREE_CAP + 1},0",
+                "--kmax", "0", "--caps", "2", "--out", str(out), *COARSE]) == 2
+    assert "exceeds DEGREE_CAP" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_project_rejects_non_finite_phantom_parameters(tmp_path, capsys):
     out = tmp_path / "x.json"
     for flags in (["--center", "nan,0,0"], ["--sharpness", "nan"], ["--sharpness", "inf"]):
@@ -460,6 +479,26 @@ def test_selftest_failure_exits_5(monkeypatch):
     original = specfun.gaunt
     monkeypatch.setattr(specfun, "gaunt", lambda *a: -original(*a))
     assert run(["selftest", "--level", "quick"]) == 5
+
+
+def test_selftest_reports_a_check_that_raises(monkeypatch):
+    def broken(self):
+        raise RuntimeError("weights lost")
+
+    monkeypatch.setattr(selftest.BallQuadrature, "weight_sum", broken)
+    stream = io.StringIO()
+    assert not selftest.run_selftest("quick", stream=stream)
+    lines = stream.getvalue().splitlines()
+    assert lines[0].startswith("FAIL  quadrature weight sum: raised RuntimeError('weights lost')")
+    assert sum(ln.startswith("PASS") for ln in lines) == 10  # the suite ran on
+    assert lines[-1].startswith("FAILED: 10/11")
+    assert run(["selftest", "--level", "quick"]) == 5
+
+
+def test_full_selftest_single_basis_oracle_check_passes():
+    passed, detail = selftest._check_oracle_single_basis(1, 3)
+    assert passed, detail
+    assert detail.startswith("all 32 single-basis fields k <= 1, l <= 3")
 
 
 def test_argparse_errors_exit_2(tmp_path):

@@ -15,10 +15,17 @@ from calderon3d.forward import (
     forward_measure,
     oracle_measure,
 )
+from calderon3d.phantoms import PhantomSpec
 from calderon3d.quadrature import BallQuadrature
 from calderon3d.recon import MissingMeasurementError, TruncationSchedule, big_q, reconstruct
 from calderon3d.serialize import dump_measurement_set, load_measurement_set
-from calderon3d.zernike import CoefficientField, ZernikeIndex, synthesize_ball_grid, synthesize_xyz
+from calderon3d.zernike import (
+    CoefficientField,
+    ZernikeIndex,
+    project,
+    synthesize_ball_grid,
+    synthesize_xyz,
+)
 
 from reference import add_noise_entrywise, first_unsupported_demand_loop
 from test_recon import random_field
@@ -204,6 +211,17 @@ def test_oracle_of_a_field_equals_the_oracle_of_its_ball_grid_samples():
     closure = oracle_measure(lambda x, y, z: cube, 2, (9, 7, 5), quad)
     field = oracle_measure(c, 2, (9, 7, 5), quad)
     assert np.array_equal(complex_bits(field.data), complex_bits(closure.data))
+
+
+def test_basis_phantom_samples_as_its_one_entry_field():
+    # the built phantom is the field, so project and the oracle take the
+    # same separable path for both, bit for bit
+    quad = BallQuadrature(24, 32, 64)
+    built = PhantomSpec("basis", index=(2, 3, -2)).build()
+    field = CoefficientField({(2, 3, -2): 1.0}, 2, 3)
+    for a, b in ((project(built, 2, 5, quad), project(field, 2, 5, quad)),
+                 (oracle_measure(built, 2, 5, quad), oracle_measure(field, 2, 5, quad))):
+        assert np.array_equal(complex_bits(a.data), complex_bits(b.data))
 
 
 def test_oracle_of_zero_field_is_zero():

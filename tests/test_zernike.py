@@ -762,6 +762,15 @@ def test_bad_points_raise_or_give_nan():
                            np.insert(ph, at, 0.1))
     with pytest.raises(ValueError, match="radius out of domain"):
         synthesize_xyz(field, [0.1, 0.9], [0.0, 0.9], [0.0, 0.0])
+    # also on a cone: 700 rings on theta = 1, one of them at r = 2, and the
+    # z = 0 plane over [-1.2, 1.2]^2, whose rings share theta = pi/2
+    cone_r = np.linspace(0.0, 1.0, 700)
+    cone_r[350] = 2.0
+    with pytest.raises(ValueError, match="radius out of domain"):
+        synthesize(field, cone_r, np.full(700, 1.0), np.zeros(700))
+    grid = np.linspace(-1.2, 1.2, 201)
+    with pytest.raises(ValueError, match="radius out of domain"):
+        synthesize_xyz(field, grid[:, None], grid[None, :], 0.0)
     # a NaN coordinate gives NaN at its own point only, also on a shared ring
     r2, th2, ph2 = r.copy(), th.copy(), ph.copy()
     r2[0], th2[1], ph2[40] = np.nan, np.nan, np.nan  # point 40 shares an earlier point's ring
