@@ -39,9 +39,8 @@ from .quadrature import BallQuadrature
 from .recon import coupling_operator
 from .zernike import (
     CoefficientField,
-    _azimuthal_transform,
+    _azimuthal_samples,
     _bases,
-    _sample_on_ball,
     _unpack,
     as_caps,
 )
@@ -116,20 +115,20 @@ def _first_unsupported_demand(c: CoefficientField, caps: tuple):
     return None
 
 
-def _oracle_values(eta_cube: np.ndarray, caps: tuple, quad: BallQuadrature) -> np.ndarray:
-    """Quadrature measurements of one sampled field for every index under ``caps``.
+def _oracle_values(eta, caps: tuple, quad: BallQuadrature) -> np.ndarray:
+    """Quadrature measurements of one field for every index under ``caps``.
 
     With a = k + 1, b = ell + k + 1 and (-1)^m Y_b^{-m} = conj(Y_b^m),
     M = -int eta r^{ell+2k} [Y_a^0 + d_theta Y_a^0 d_theta / (ab)] conj(Y_b^m),
     since grad_S Y_a^0 has no azimuthal component.  Y_a^0 is zonal, so
-    the phi-sum is the azimuthal transform of the cube, the theta-sum reads
-    one normalised Legendre table over every order |m| and degree b, and
-    the r-sum is a power-weighted row sum.  The theta profile of a stage
-    depends on |m| only, so orders m and -m share it.  The values come in
-    the packed (k, ell, m) order.
+    the phi-sum is the azimuthal transform of eta (sampled a block of radii
+    at a time), the theta-sum reads one normalised Legendre table over every
+    order |m| and degree b, and the r-sum is a power-weighted row sum.  The
+    theta profile of a stage depends on |m| only, so orders m and -m share
+    it.  The values come in the packed (k, ell, m) order.
     """
     lmax = max(caps)
-    f_m = _azimuthal_transform(eta_cube, quad, lmax)
+    f_m = _azimuthal_samples(eta, quad, lmax)
     x = np.cos(quad.theta)
     sin2 = (1.0 - x) * (1.0 + x)
     bmax = max(cap + k + 1 for k, cap in enumerate(caps))
@@ -169,12 +168,12 @@ def oracle_measure(eta, K: int, degree_caps, quad: BallQuadrature | None = None)
     Samples the field once and integrates the angular-kernel form of the
     measurement separably (see ``_oracle_values``).  ``eta`` is a callable
     eta(x, y, z) or a CoefficientField, sampled by the rule of
-    ``zernike.project`` (``zernike._sample_on_ball``).
+    ``zernike.project``, so a callable is called per block of radii.
     """
     caps = as_caps(K, degree_caps)
     if quad is None:
         quad = BallQuadrature()
-    values = _oracle_values(_sample_on_ball(eta, quad), caps, quad)
+    values = _oracle_values(eta, caps, quad)
     return MeasurementSet._packed(values, np.ones(values.size, dtype=bool), caps)
 
 

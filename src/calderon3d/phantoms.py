@@ -2,9 +2,10 @@
 
 Three families: a localized Gaussian bump exp(-a |x - c|^2) with center c
 in the closed unit ball, a single basis function psi_l^{k,m}, and the
-zero field.  The Gaussian builds a vectorized callable eta(x, y, z); the
-others build their one-entry or empty CoefficientField, which ``project``
-and the oracle sample separably (``zernike.synthesize_ball_grid``).
+zero field.  The Gaussian builds a pointwise callable eta(x, y, z), which
+``project`` and the oracle call once per block of radii; the others build
+their one-entry or empty CoefficientField, which they sample separably
+(``zernike.synthesize_ball_grid``).
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ class PhantomSpec:
         object.__setattr__(self, "index", idx)
 
     def build(self):
-        """The field: for "gaussian" a vectorized callable eta(x, y, z) on
+        """The field: for "gaussian" a pointwise callable eta(x, y, z) on
         Cartesian coordinate arrays, for "basis" the CoefficientField with
         the one entry 1 at ``index``, for "zero" the empty CoefficientField."""
         if self.name == "basis":

@@ -104,12 +104,13 @@ class BallQuadrature:
             np.sum(self.r_weights) * np.sum(self.theta_weights) * self.n_phi * self.phi_weight
         )
 
-    def cartesian_grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Cartesian node coordinates, each of shape (n_r, n_theta, n_phi).
+    def cartesian_grid(self, radii=slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Cartesian node coordinates, each of shape (n_radii, n_theta, n_phi).
 
-        z does not vary with phi, so it is a read-only broadcast view.
+        ``radii`` slices the radial nodes, bit for bit those rows of the whole
+        grid.  z does not vary with phi, so it is a read-only broadcast view.
         """
-        r = self.r[:, None, None]
+        r = self.r[radii, None, None]
         st = np.sin(self.theta)[None, :, None]
         ct = np.cos(self.theta)[None, :, None]
         cp = np.cos(self.phi)[None, None, :]

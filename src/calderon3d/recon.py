@@ -209,18 +209,18 @@ class CouplingStage:
         column vector ``coeffs``, added one at a time from zero in term order,
         real and imaginary parts apart.
 
-        One gather and two products fill a (terms, rows, 2) array, the last
-        axis the (real, imaginary) pair, and one reduction sums over the
-        terms.  numpy reduces an outer axis by adding whole slices to the
-        ``initial`` zeros in index order, so the order is fixed and is the
-        term order.  It sums pairwise, in another order, only along the
+        One gather fills a (terms, rows) complex array, viewed as (terms,
+        rows, 2) with the last axis the (real, imaginary) pair; two products
+        scale it in place, and one reduction sums over the terms.  numpy
+        reduces an outer axis by adding whole slices to the ``initial``
+        zeros in index order, so the order is fixed and is the term order.  It sums pairwise, in another order, only along the
         innermost extent, and the trailing pair keeps that extent at least 2
         even for a one-row stage.
         """
         x = coeffs[self.cols[:stop]]
-        parts = np.empty(x.shape + (2,))
-        np.multiply(self.vals[:stop], x.real, out=parts[..., 0])
-        np.multiply(self.vals[:stop], x.imag, out=parts[..., 1])
+        parts = x.view(float).reshape(x.shape + (2,))
+        np.multiply(self.vals[:stop], parts[..., 0], out=parts[..., 0])
+        np.multiply(self.vals[:stop], parts[..., 1], out=parts[..., 1])
         return np.add.reduce(parts, axis=0, initial=0.0).view(complex).ravel()
 
 

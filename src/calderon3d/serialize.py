@@ -60,7 +60,8 @@ __all__ = [
 def _fmt(x: float) -> str:
     if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite value {x!r}")
-    return "%.17g" % x
+    # "-0" would load as the JSON integer 0 and lose its sign
+    return "-0.0" if x == 0 and math.copysign(1.0, x) < 0 else "%.17g" % x
 
 
 def _int(v) -> int:
@@ -141,24 +142,30 @@ def _read_document(path, key: str, kind: str):
                 raise ValueError("index out of range")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: malformed entry {row!r}") from exc
-        where = f"entry (k={k}, ell={ell}, m={m})"
         if not (math.isfinite(re) and math.isfinite(im)):
-            raise ValueError(f"{path}: non-finite value in {where}")
+            raise ValueError(f"{path}: non-finite value in entry (k={k}, ell={ell}, m={m})")
         if k > kmax:
-            raise ValueError(f"{path}: {where} exceeds the declared radial bound {kmax}")
+            raise ValueError(f"{path}: entry (k={k}, ell={ell}, m={m}) exceeds the "
+                             f"declared radial bound {kmax}")
         if ell > DEGREE_CAP:  # checked before the arrays are sized from the caps
-            raise ValueError(f"{path}: {where} exceeds DEGREE_CAP = {DEGREE_CAP}")
+            raise ValueError(f"{path}: entry (k={k}, ell={ell}, m={m}) exceeds "
+                             f"DEGREE_CAP = {DEGREE_CAP}")
         caps[k] = max(caps[k], ell)
-        rows.append((k, ell, m, complex(re, im)))
+        rows.append((k, ell, m, re, im))
     base = _bases(caps)
+    table = np.array(rows, dtype=float).reshape(-1, 5)
+    k, ell, m = table[:, :3].T.astype(np.int64)
+    pos = np.array(base)[k] + ell * (ell + 1) + m
+    counts = np.bincount(pos, minlength=base[-1])
+    if counts.max() > 1:
+        # name the first row whose index an earlier row holds
+        order = np.argsort(pos, kind="stable")
+        k, ell, m = rows[order[1:][np.diff(pos[order]) == 0].min()][:3]
+        raise ValueError(f"{path}: entry (k={k}, ell={ell}, m={m}) appears more than once")
     data = np.zeros(base[-1], dtype=complex)
-    present = np.zeros(base[-1], dtype=bool)
-    for k, ell, m, value in rows:
-        pos = base[k] + ell * (ell + 1) + m
-        if present[pos]:
-            raise ValueError(f"{path}: entry (k={k}, ell={ell}, m={m}) appears more than once")
-        data[pos], present[pos] = value, True
-    return doc, CoefficientField._packed(data, present, tuple(caps), certified)
+    # real and imaginary parts apart, so signed zeros keep their sign
+    data.real[pos], data.imag[pos] = table[:, 3], table[:, 4]
+    return doc, CoefficientField._packed(data, counts > 0, tuple(caps), certified)
 
 
 # ------------------------------------------------------------- coefficients

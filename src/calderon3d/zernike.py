@@ -34,8 +34,11 @@ certified, and downstream consumers refuse to treat its tail as zero.
 Measurements M(k, l, m) live on the same index set under the same caps,
 so they use the same container (``forward.MeasurementSet`` is this class).
 
-``project`` and ``forward.oracle_measure`` sample through one helper: a
-CoefficientField by ``synthesize_ball_grid``, a callable on the grid.
+``project`` and ``forward.oracle_measure`` sample through one helper that
+transforms ``_SHELLS`` radii at a time: a CoefficientField is read from
+``synthesize_ball_grid``, a pointwise callable is called per block.  Both
+read their Legendre rows from one table over all orders and degrees,
+filled by a single degree-major pass, instead of one order sweep per m.
 
 Synthesis runs degree by degree.  For each ell, the signed coefficients
 of every order form one real matrix, and its product with the rows
@@ -71,9 +74,6 @@ by Horner's rule (``_horner``, which states its error bound; ``selftest``
 checks it against long double for every order up to DEGREE_CAP).
 ``synthesize_ball_grid`` takes e^{i mu phi_j} at the exact angle
 2 pi (mu j mod n_phi) / n_phi.
-``project`` and ``forward.oracle_measure`` read their Legendre rows from
-one table over all orders and degrees, filled by a single degree-major
-pass, instead of one order sweep per m.
 """
 
 from __future__ import annotations
@@ -354,7 +354,10 @@ class CoefficientField:
     def _relaid(self, caps: tuple):
         """``(data, present)`` in the packed layout of the caps tuple ``caps``:
         indices past those caps are dropped, and indices past this field's
-        own bounds are absent.  Each k is one slice copy."""
+        own bounds are absent.  Each k is one slice copy; under this field's
+        own caps they are its read-only arrays themselves."""
+        if caps == self.degree_caps:
+            return self.data, self.present
         base = _bases(caps)
         data = np.zeros(base[-1], dtype=complex)
         present = np.zeros(base[-1], dtype=bool)
@@ -400,28 +403,32 @@ def _spherical_from_cartesian(x, y, z):
     return r, theta, phi
 
 
-def _sample_on_ball(eta, quad: BallQuadrature) -> np.ndarray:
-    """eta on the (n_r, n_theta, n_phi) grid of ``quad``: a CoefficientField
-    by ``synthesize_ball_grid``, a callable as eta(x, y, z) on the grid's
-    Cartesian nodes, where a result of any other shape raises ValueError."""
-    if isinstance(eta, CoefficientField):
-        return synthesize_ball_grid(eta, quad)
-    x, y, z = quad.cartesian_grid()
-    cube = np.asarray(eta(x, y, z))
-    if cube.shape != x.shape:
-        raise ValueError("field evaluation must preserve the grid shape")
-    return cube
+_SHELLS = 4  # radii per sampled block: a few hundred KiB of nodes on the default grid
 
 
-def _azimuthal_transform(values: np.ndarray, quad: BallQuadrature, lmax: int) -> np.ndarray:
-    """F[i, j, m + lmax] = sum_p w_phi values[i, j, p] exp(-i m phi_p), |m| <= lmax.
+def _azimuthal_samples(eta, quad: BallQuadrature, lmax: int) -> np.ndarray:
+    """F[i, j, m + lmax] = sum_p w_phi eta(r_i, theta_j, phi_p) exp(-i m phi_p), |m| <= lmax.
 
-    ``values`` is sampled on the (n_r, n_theta, n_phi) grid of ``quad``.
-    """
+    Each block of ``_SHELLS`` radii is transformed as soon as it is sampled:
+    a CoefficientField's from ``synthesize_ball_grid``, a callable's as
+    eta(x, y, z) on ``quad.cartesian_grid(radii)``.  A callable is thus called
+    per block, must be pointwise and must return its arguments' shape
+    (else ValueError)."""
     ms = np.arange(-lmax, lmax + 1)
     phase = np.exp(-1j * np.outer(quad.phi, ms)) * quad.phi_weight
-    flat = values.reshape(quad.n_r * quad.n_theta, quad.n_phi)
-    return (flat @ phase).reshape(quad.n_r, quad.n_theta, len(ms))
+    cube = synthesize_ball_grid(eta, quad) if isinstance(eta, CoefficientField) else None
+    f_m = np.empty((quad.n_r, quad.n_theta, len(ms)), dtype=complex)
+    for start in range(0, quad.n_r, _SHELLS):
+        radii = slice(start, start + _SHELLS)
+        if cube is None:
+            x, y, z = quad.cartesian_grid(radii)
+            block = np.asarray(eta(x, y, z))
+            if block.shape != x.shape:
+                raise ValueError("field evaluation must preserve the grid shape")
+        else:
+            block = cube[radii]
+        f_m[radii] = (block.reshape(-1, quad.n_phi) @ phase).reshape(-1, quad.n_theta, len(ms))
+    return f_m
 
 
 def project(eta, kmax: int, degree_caps, quad: BallQuadrature | None = None) -> CoefficientField:
@@ -430,8 +437,8 @@ def project(eta, kmax: int, degree_caps, quad: BallQuadrature | None = None) -> 
     Parameters
     ----------
     eta : callable or CoefficientField
-        Field on the ball, sampled on ``quad`` by ``_sample_on_ball``; a
-        callable whose result does not have the grid's shape raises ValueError.
+        Field on the ball, sampled on ``quad`` by ``_azimuthal_samples``, which
+        calls a callable once per block of radii (see there).
     kmax, degree_caps : int, int or sequence
         Support bounds of the requested expansion.
     quad : BallQuadrature, optional
@@ -449,7 +456,7 @@ def project(eta, kmax: int, degree_caps, quad: BallQuadrature | None = None) -> 
     if quad is None:
         quad = BallQuadrature()
     lmax = max(caps)
-    f_m = _azimuthal_transform(_sample_on_ball(eta, quad), quad, lmax)
+    f_m = _azimuthal_samples(eta, quad, lmax)
     # weighted radial profiles, (ell, k, n_r); a row does not depend on how
     # many rows its recurrence runs
     radial = np.array([quad.r_weights * _radial_zernike_rows(ell, kmax, quad.r)

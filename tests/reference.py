@@ -14,9 +14,8 @@ from calderon3d.quadrature import BallQuadrature
 from calderon3d.recon import tau
 from calderon3d.zernike import (
     ZernikeIndex,
-    _azimuthal_transform,
+    _azimuthal_samples,
     _radial_zernike_rows,
-    _sample_on_ball,
     as_caps,
     chi,
 )
@@ -144,7 +143,7 @@ def project_entrywise(eta, kmax: int, degree_caps, quad: BallQuadrature) -> dict
     the per-order contraction replaced; returns {ZernikeIndex: complex}."""
     caps = as_caps(kmax, degree_caps)
     lmax = max(caps)
-    f_m = _azimuthal_transform(_sample_on_ball(eta, quad), quad, lmax)
+    f_m = _azimuthal_samples(eta, quad, lmax)
     radial = [
         quad.r_weights
         * _radial_zernike_rows(ell, max(k for k, cap in enumerate(caps) if cap >= ell), quad.r)

@@ -142,6 +142,21 @@ def test_seventeen_digit_floats_survive(tmp_path):
     assert load_coefficient_field(path).entries[next(iter(c.entries))] == val
 
 
+def test_negative_zero_keeps_its_sign(tmp_path):
+    # "-0" would load as the JSON integer 0; every sign bit must survive
+    values = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), complex(-1.5, -0.0)]
+    c = CoefficientField(dict(zip([(0, 1, -1), (0, 1, 0), (0, 1, 1), (1, 0, 0)], values)), 1, (1, 0))
+    for dump, load in ((dump_coefficient_field, load_coefficient_field),
+                       (dump_measurement_set, load_measurement_set)):
+        path = tmp_path / "signed.json"
+        dump(c, path)
+        assert re.search(r"-0[,}]", path.read_text()) is None
+        back = load(path)
+        for part in ("real", "imag"):
+            got = getattr(back.data, part).view(np.uint64)
+            assert np.array_equal(got, getattr(c.data, part).view(np.uint64)), part
+
+
 def test_loader_rejects_malformed_documents(tmp_path):
     entry = '"m": 0, "re": 0, "im": 0'
     cases = {

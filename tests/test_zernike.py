@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from calderon3d import zernike
+from calderon3d.forward import oracle_measure
 from calderon3d.quadrature import BallQuadrature, SphereQuadrature
 from calderon3d.specfun import DEGREE_CAP, sph_harm
 from calderon3d.zernike import (
@@ -348,6 +349,57 @@ def test_project_rejects_a_field_of_the_wrong_shape():
     # project samples like the oracle: the field must return the grid's shape
     with pytest.raises(ValueError):
         project(lambda x, y, z: 1.0, 0, 0, QUAD)
+
+
+def gaussian_bump(x, y, z):
+    return np.exp(-50.0 * ((x - 0.1) ** 2 + (y + 0.2) ** 2 + (z - 0.25) ** 2))
+
+
+def test_a_callable_is_sampled_a_block_of_radii_at_a_time():
+    # each call sees at most _SHELLS whole shells, and the calls together
+    # cover the grid's nodes once, in order, bit for bit
+    quad = BallQuadrature(10, 16, 32)
+    whole = quad.cartesian_grid()
+    for a, b in ((0, 4), (3, 7), (8, 10), (9, 20)):
+        part = quad.cartesian_grid(slice(a, b))
+        for got, want in zip(part, whole):
+            assert np.array_equal(got.view(np.uint64), want[a:b].view(np.uint64))
+    for measure in (project, oracle_measure):
+        calls = []
+
+        def eta(x, y, z):
+            calls.append((x.copy(), y.copy(), np.array(z)))
+            return gaussian_bump(x, y, z)
+
+        measure(eta, 1, 3, quad)
+        assert all(len(x) <= zernike._SHELLS for x, _, _ in calls)
+        assert all(x.shape[1:] == (quad.n_theta, quad.n_phi) for x, _, _ in calls)
+        for axis, want in enumerate(whole):
+            got = np.concatenate([call[axis] for call in calls])
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), measure
+
+
+def test_sampling_memory_does_not_grow_with_the_radial_order():
+    # doubling the radii may grow the traced peak of project and the oracle
+    # by little more than their output F[i, j, m], not by a cube of samples
+    caps = (6, 6, 6)
+
+    def peak(measure, n_r):
+        quad = BallQuadrature(n_r, 32, 64)
+        measure(gaussian_bump, 2, caps, quad)
+        tracemalloc.start()
+        try:
+            measure(gaussian_bump, 2, caps, quad)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    f_growth = 48 * 32 * (2 * max(caps) + 1) * np.dtype(complex).itemsize
+    for measure in (project, oracle_measure):
+        growth = peak(measure, 96) - peak(measure, 48)
+        print(f"{measure.__name__}: peak grows {growth / 2**20:.2f} MiB, "
+              f"F {f_growth / 2**20:.2f} MiB")
+        assert growth <= 1.5 * f_growth, measure
 
 
 def test_project_real_field_has_conjugate_symmetry():
