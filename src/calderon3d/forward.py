@@ -192,23 +192,29 @@ def add_noise(ms: MeasurementSet, relative_level: float, seed: int) -> Measureme
     if relative_level == 0:
         return MeasurementSet._packed(ms.data, ms.present, ms.degree_caps)
     sigma = relative_level * ms.rms()
-    pos = np.flatnonzero(ms.present)
-    m = _unpack(ms.base, pos)[2]
-    partner = ms.present[pos - 2 * m]
+    present = ms.present
+    m = _unpack(ms.base, np.arange(present.size))[2]
+    # (k, ell, -m) is the slot 2m before (k, ell, m): the m > 0 entries whose
+    # partner is stored, and the m < 0 entries whose partner is not
+    mirrored = np.flatnonzero(present & (m > 0))
+    mirrored = mirrored[present[mirrored - 2 * m[mirrored]]]
+    lone = np.flatnonzero(present & (m < 0))
+    lone = lone[~present[lone - 2 * m[lone]]]
     # the draws of a sweep in (k, ell, m) order over the m >= 0 entries, one
-    # number for m = 0 and two otherwise, then two for every m < 0 entry
-    # without a stored partner
-    order = np.concatenate([np.flatnonzero(m >= 0), np.flatnonzero((m < 0) & ~partner)])
-    own, width = pos[order], np.where(m[order] == 0, 1, 2)
-    first = np.cumsum(width) - width
-    g = np.append(np.random.default_rng(seed).standard_normal(int(width.sum())), 0.0)
-    noise = np.zeros(ms.data.size, dtype=complex)
+    # number for m = 0 and two otherwise, then two for every lone m < 0 entry;
+    # a boolean assignment fills the (re, im) rows in that order
+    fresh = np.stack([present & (m >= 0), present & (m > 0)], axis=1)
+    g = np.random.default_rng(seed).standard_normal(np.count_nonzero(fresh) + 2 * lone.size)
+    noise = np.zeros((present.size, 2))
+    noise[fresh] = g[: g.size - 2 * lone.size]
+    noise[lone] = g[g.size - 2 * lone.size :].reshape(-1, 2)
+    del g
     # sigma g for m = 0, else sigma (g1 + i g2) / sqrt(2), a true division per part
-    noise.real[own] = np.where(width == 1, sigma * g[first], sigma * g[first] / math.sqrt(2.0))
-    noise.imag[own] = np.where(width == 1, 0.0, sigma * g[first + 1] / math.sqrt(2.0))
-    # the partner of an m > 0 entry takes (-1)^m conj(noise), 2m slots before it
-    mirror = (m > 0) & partner
-    noise[pos[mirror] - 2 * m[mirror]] = np.where(m[mirror] % 2, -1.0, 1.0) * np.conj(
-        noise[pos[mirror]]
-    )
+    noise *= sigma
+    np.divide(noise, math.sqrt(2.0), out=noise, where=(m != 0)[:, None])
+    noise = noise.view(complex)[:, 0]
+    # the partner of an m > 0 entry takes (-1)^m conj(noise)
+    mirror = np.conj(noise[mirrored])
+    mirror *= np.where(m[mirrored] % 2, -1.0, 1.0)
+    noise[mirrored - 2 * m[mirrored]] = mirror
     return MeasurementSet._packed(ms.data + noise, ms.present, ms.degree_caps)

@@ -6,6 +6,7 @@ run time, so they live here rather than in ``calderon3d``.
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -16,6 +17,7 @@ from calderon3d.zernike import (
     ZernikeIndex,
     _azimuthal_samples,
     _radial_zernike_rows,
+    _unpack,
     as_caps,
     chi,
 )
@@ -208,3 +210,64 @@ def gaunt_prefactors_fraction(j1, j2, j3) -> np.ndarray:
         zero = specfun._w3j_zero_square(d1, d2, d3, math.factorial)
         pref.append(_sqrt_fraction_wide(zero**2 * ((2 * d1 + 1) * (2 * d2 + 1) * (2 * d3 + 1))))
     return np.array(pref)
+
+
+def fmt_value(x: float) -> str:
+    """One float as the file formats write it: 17 significant digits, and
+    "-0.0" for negative zero."""
+    if not math.isfinite(x):
+        raise ValueError(f"cannot serialize non-finite value {x!r}")
+    return "-0.0" if x == 0 and math.copysign(1.0, x) < 0 else "%.17g" % x
+
+
+def write_document_rowwise(path, key: str, c, tail=()) -> None:
+    """``serialize``'s JSON writer as one row and two ``fmt_value`` calls per
+    entry, the form the whole-document formatting replaced."""
+    lines = ["{", f'  "{key}": {c.kmax},']
+    if not c.certified:
+        lines.append('  "certified": false,')
+    lines.append('  "entries": [')
+    pos = np.flatnonzero(c.present)
+    index = zip(*(a.tolist() for a in _unpack(c.base, pos)))
+    rows = [
+        f'    {{"k": {k}, "ell": {ell}, "m": {m}, "re": {fmt_value(v.real)}, '
+        f'"im": {fmt_value(v.imag)}}}'
+        for (k, ell, m), v in zip(index, c.data[pos].tolist())
+    ]
+    lines.extend([row + "," for row in rows[:-1]] + rows[-1:])
+    lines.append("  ]," if tail else "  ]")
+    lines.extend(tail)
+    lines.append("}")
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_report_rowwise(rep, path) -> None:
+    """``serialize.dump_recon_report`` over ``write_document_rowwise``."""
+    tail = [
+        '  "diagnostics": {',
+        f'    "min_divisor": {fmt_value(rep.min_divisor)},',
+        f'    "schedule": [{", ".join(str(c) for c in rep.schedule.caps)}],',
+    ]
+    if rep.regularised:
+        tail.append('    "regularised": true,')
+    tail.append('    "stages": [')
+    for i, st in enumerate(rep.stages):
+        comma = "," if i + 1 < len(rep.stages) else ""
+        tail.append(
+            f'      {{"k": {st.k}, "max_inner_sum_magnitude": '
+            f"{fmt_value(st.max_inner_sum_magnitude)}}}{comma}"
+        )
+    tail.extend(["    ]", "  }"])
+    write_document_rowwise(path, "kmax", rep.field, tail)
+
+
+def write_slice_rowwise(gs, path) -> None:
+    """``serialize.dump_grid_slice`` with every row formatted by
+    ``fmt_value`` before the file is opened, the form the block writer
+    replaced."""
+    values = ["" if math.isnan(v) else fmt_value(v) for v in gs.values.ravel().tolist()]
+    columns = [[fmt_value(v) for v in np.ravel(a).astype(float).tolist()] for a in (gs.x, gs.y, gs.z)]
+    with Path(path).open("w") as out:
+        out.write("x,y,z,value\n")
+        for row in zip(*columns, values):
+            out.write(",".join(row) + "\n")

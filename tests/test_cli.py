@@ -546,6 +546,9 @@ def test_missing_input_file_exits_2(tmp_path):
                   '{"k": 0, "ell": 0, "m": 0, "re": 2.0, "im": 0.0}]}'),
         ("reconstruct", '{"K": 0, "entries": [{"k": 0, "ell": 0, "m": 0, "re": 1.0, "im": 0.0}, '
                         '{"k": 0, "ell": 0, "m": 0, "re": 2.0, "im": 0.0}]}'),
+        # a value too large for a float
+        ("slice", '{"kmax": 0, "entries": [{"k": 0, "ell": 0, "m": 0, "re": 1' + "0" * 400
+                  + ', "im": 0}]}'),
     ],
 )
 def test_malformed_document_header_exits_2(tmp_path, capsys, verb, doc):

@@ -3,12 +3,16 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from calderon3d import serialize
 from calderon3d.forward import MeasurementSet, forward_measure
-from calderon3d.recon import TruncationSchedule, reconstruct
+from calderon3d.recon import ReconReport, StageDiagnostic, TruncationSchedule, reconstruct
 from calderon3d.serialize import (
     GridSlice,
     dump_coefficient_field,
@@ -21,6 +25,7 @@ from calderon3d.serialize import (
 )
 from calderon3d.zernike import CoefficientField
 
+from reference import write_document_rowwise, write_report_rowwise, write_slice_rowwise
 from test_recon import random_field
 
 
@@ -174,6 +179,11 @@ def test_loader_rejects_malformed_documents(tmp_path):
         "halfell.json": '{"kmax": 0, "entries": [{"k": 0, "ell": 2.5, ' + entry + "}]}",
         "boolindex.json": '{"kmax": 0, "entries": [{"k": false, "ell": true, ' + entry + "}]}",
         "dictentries.json": '{"kmax": 0, "entries": {}}',
+        # an integer too large for a float, and one past Python's digit limit
+        "hugere.json": '{"kmax": 0, "entries": [{"k": 0, "ell": 0, "m": 0, "re": 1'
+        + "0" * 400 + ', "im": 0}]}',
+        "longint.json": '{"kmax": 0, "entries": [], "pad": 1' + "0" * 5000 + "}",
+        "deep.json": '{"kmax": 0, "entries": [], "pad": ' + "[" * 10**5 + "]" * 10**5 + "}",
     }
     measurement_cases = {
         "listK.json": '{"K": [1], "entries": []}',
@@ -190,6 +200,8 @@ def test_loader_rejects_malformed_documents(tmp_path):
         "textregularised.json": {**diagnostics, "regularised": "true"},
         "otherschedule.json": {**diagnostics, "schedule": [9, 7, 5]},
         "otherstage.json": {**diagnostics, "stages": [{"k": 4, "max_inner_sum_magnitude": 0}]},
+        "hugemin.json": {**diagnostics, "min_divisor": 10**400},
+        "hugestage.json": {**diagnostics, "stages": [{"k": 0, "max_inner_sum_magnitude": -(10**400)}]},
     }
     report_cases = {
         name: json.dumps({"kmax": 0, "entries": [], "diagnostics": diag})
@@ -207,8 +219,27 @@ def test_loader_rejects_malformed_documents(tmp_path):
                 load(path)
     with pytest.raises(ValueError):
         load_coefficient_field(tmp_path / "missing.json")
+    for name in ("longint.json", "deep.json"):
+        with pytest.raises(ValueError, match=re.escape(f"{tmp_path / name}: invalid JSON")):
+            load_coefficient_field(tmp_path / name)
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"kmax": 0, "entries": [], "note": "\xe9t\xe9"}')
+    with pytest.raises(ValueError, match=re.escape(f"cannot read {latin}: ")):
+        load_coefficient_field(latin)
     with pytest.raises(ValueError):
         load_measurement_set(tmp_path / "nokey.json")
+    # the first bad row is named, with the first rule it breaks in the order
+    # type and range, finiteness, radial bound, degree cap
+    good, malformed = '{"k": 0, "ell": 0, "m": 0, "re": 1, "im": 0}', '{"k": 0}'
+    for bad, message in [
+        ('{"k": 1, "ell": 200, "m": 0, "re": NaN, "im": 0}', "non-finite value in entry (k=1,"),
+        ('{"k": 1, "ell": 200, "m": 0, "re": 0, "im": 0}', "entry (k=1, ell=200, m=0) exceeds the declared"),
+        ('{"k": 0, "ell": 200, "m": -201, "re": NaN, "im": 0}', "malformed entry {'k': 0, 'ell': 200"),
+    ]:
+        path = tmp_path / "order.json"
+        path.write_text('{"kmax": 0, "entries": [' + ", ".join([good, bad, malformed]) + "]}")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            load_coefficient_field(path)
     plain = tmp_path / "plain.json"
     dump_coefficient_field(CoefficientField({(0, 0, 0): 1.0}, 0, 0), plain)
     with pytest.raises(ValueError, match="not a reconstruction report"):
@@ -246,3 +277,110 @@ def test_dump_rejects_non_finite_values(tmp_path):
     c = CoefficientField({(0, 0, 0): complex(math.nan, 0.0)}, 0, 0)
     with pytest.raises(ValueError):
         dump_coefficient_field(c, tmp_path / "nan.json")
+
+
+# every float the writers must reproduce: signed zeros, subnormals, the ends
+# of the double range, integral values and arbitrary finite doubles
+FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                     1.7976931348623157e308, 1.0, -3.0, 1e16, 2.0**53]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**60), 2**60).map(float),
+)
+INDICES = [(k, ell, m) for k, cap in enumerate((3, 2)) for ell in range(cap + 1)
+           for m in range(-ell, ell + 1)]
+
+
+@st.composite
+def fields(draw):
+    keys = draw(st.lists(st.sampled_from(INDICES), unique=True, max_size=len(INDICES)))
+    values = [complex(draw(FLOATS), draw(FLOATS)) for _ in keys]
+    return CoefficientField(dict(zip(keys, values)), 1, (3, 2), certified=draw(st.booleans()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(fields(), st.lists(FLOATS.map(abs), min_size=3, max_size=3), st.booleans())
+def test_json_writers_match_the_rowwise_reference(tmp_path_factory, c, floats, regularised):
+    tmp = tmp_path_factory.mktemp("json")
+    pairs = [
+        (lambda path: dump_coefficient_field(c, path),
+         lambda path: write_document_rowwise(path, "kmax", c)),
+        (lambda path: dump_measurement_set(c, path),
+         lambda path: write_document_rowwise(path, "K", c)),
+    ]
+    if c.certified:
+        rep = ReconReport(c, TruncationSchedule((3, 2)), floats[0],
+                          (StageDiagnostic(0, floats[1]), StageDiagnostic(1, -floats[2])),
+                          regularised)
+        pairs.append((lambda path: dump_recon_report(rep, path),
+                      lambda path: write_report_rowwise(rep, path)))
+    for dump, reference in pairs:
+        dump(tmp / "new.json")
+        reference(tmp / "ref.json")
+        assert (tmp / "new.json").read_bytes() == (tmp / "ref.json").read_bytes()
+
+
+def test_json_writers_match_the_reference_on_one_entry_and_empty_fields(tmp_path):
+    for c in (CoefficientField({(0, 0, 0): complex(-0.0, 5e-324)}, 0, 0),
+              CoefficientField({}, 0, 0), CoefficientField({}, 2, (1, 0, 3), certified=False)):
+        for key, dump in (("kmax", dump_coefficient_field), ("K", dump_measurement_set)):
+            dump(c, tmp_path / "new.json")
+            write_document_rowwise(tmp_path / "ref.json", key, c)
+            assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+
+def plane_slice(n, values_at):
+    u = np.linspace(-1.0, 1.0, n)
+    uu, vv = np.meshgrid(u, u, indexing="ij")
+    values = np.where(uu**2 + vv**2 <= 1.0, values_at(uu, vv), np.nan)
+    return GridSlice("z", 0.0, n, uu, vv, np.zeros_like(uu), values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 9), st.lists(st.one_of(FLOATS, st.just(math.nan)),
+                                                       min_size=1, max_size=144))
+def test_slice_writer_matches_the_rowwise_reference(tmp_path_factory, n, rows_per_block, pool):
+    # small blocks, so that outside (NaN) rows and signed zeros fall on block edges
+    tmp = tmp_path_factory.mktemp("csv")
+    coords = np.resize(np.array([0.0, -0.0, 0.5, -1.0, 5e-324]), (3, n, n))
+    gs = GridSlice("x", -0.0, n, *coords, np.resize(np.array(pool), (n, n)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(serialize, "_ROWS", rows_per_block)
+        dump_grid_slice(gs, tmp / "new.csv")
+    write_slice_rowwise(gs, tmp / "ref.csv")
+    assert (tmp / "new.csv").read_bytes() == (tmp / "ref.csv").read_bytes()
+
+
+def test_slice_writer_matches_the_reference_across_full_blocks(tmp_path):
+    # a row count that is not a multiple of the block size, with NaN and -0.0
+    # at the rows either side of each block edge
+    n = 65
+    gs = plane_slice(n, lambda u, v: u * v)
+    values = gs.values.reshape(-1)
+    edges = np.arange(serialize._ROWS, n * n, serialize._ROWS)
+    assert n * n % serialize._ROWS and edges.size >= 2
+    values[edges[0] - 1 : edges[0] + 1] = np.nan
+    values[edges[1] - 1 : edges[1] + 1] = -0.0
+    gs.y.reshape(-1)[edges - 1] = -0.0
+    dump_grid_slice(gs, tmp_path / "new.csv")
+    write_slice_rowwise(gs, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_slice_memory_does_not_grow_with_the_resolution(tmp_path):
+    # rows are formatted and written a block at a time: four times the rows
+    # may grow the traced peak by little, not by the text of every row
+    def peak(n):
+        gs = plane_slice(n, lambda u, v: np.sin(3.0 * u) * v)
+        tracemalloc.start()
+        try:
+            dump_grid_slice(gs, tmp_path / "s.csv")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(201), peak(401)
+    rows = 401**2 - 201**2
+    print(f"peak {small / 2**20:.2f} -> {large / 2**20:.2f} MiB for {rows} more rows")
+    assert large - small <= 4 * rows  # the text of a row is ~60 bytes
+    assert large <= 512 * serialize._ROWS
