@@ -41,6 +41,7 @@ from .zernike import (
     CoefficientField,
     _azimuthal_samples,
     _bases,
+    _require_angular_rule,
     _unpack,
     as_caps,
 )
@@ -169,10 +170,18 @@ def oracle_measure(eta, K: int, degree_caps, quad: BallQuadrature | None = None)
     measurement separably (see ``_oracle_values``).  ``eta`` is a callable
     eta(x, y, z) or a CoefficientField, sampled by the rule of
     ``zernike.project``, so a callable is called per block of radii.
+
+    A rule too coarse for fields of degree lmax = max(degree_caps) raises
+    ValueError.  The kernel of stage k and degree ell has polar degree
+    ell + 2k (the leading terms of its two parts cancel), so the polar rule
+    needs degree lmax + max(caps[k] + 2k), and the azimuthal rule 2 lmax + 1
+    nodes, as in ``project``.
     """
     caps = as_caps(K, degree_caps)
     if quad is None:
         quad = BallQuadrature()
+    lmax = max(caps)
+    _require_angular_rule(quad, lmax + max(cap + 2 * k for k, cap in enumerate(caps)), lmax)
     values = _oracle_values(eta, caps, quad)
     return MeasurementSet._packed(values, np.ones(values.size, dtype=bool), caps)
 

@@ -120,19 +120,23 @@ def _norm_legendre_degrees(lmax: int, x: np.ndarray):
     """Yield, for ell = 0..lmax, the rows P~_ell^mu(x), mu = 0..ell, as one array.
 
     The degree-major traversal of ``_norm_legendre_sweep``: degree ell
-    comes from degrees ell-1 and ell-2 only, so at most three degrees are
-    alive at once and no table over all degrees is kept.  Each row is
-    bit-identical to the matching row of the order-major sweep.  Callers
-    must not write into a yielded array: the next two degrees read it.
+    comes from degrees ell-1 and ell-2 only, so three (lmax + 1)-row
+    buffers, written in rotation, hold every degree and no table over all
+    degrees is kept.  Each row is bit-identical to the matching row of the
+    order-major sweep.  A yielded array is valid only until two more
+    degrees have been yielded (the next degree after those overwrites it),
+    and callers must not write into it: the next two degrees read it.
     """
     x = np.asarray(x, dtype=float)
     somx2 = np.sqrt((1.0 - x) * (1.0 + x))
     col = (-1,) + (1,) * x.ndim
+    bufs = [np.empty((lmax + 1,) + x.shape) for _ in range(3)]
     prev2 = None
-    prev = np.full((1,) + x.shape, math.sqrt(1.0 / (4.0 * math.pi)))
+    prev = bufs[0][:1]
+    prev[...] = math.sqrt(1.0 / (4.0 * math.pi))
     yield prev
     for ell in range(1, lmax + 1):
-        cur = np.empty((ell + 1,) + x.shape)
+        cur = bufs[ell % 3][: ell + 1]
         a2, b2 = _legendre_step_squares(ell, np.arange(ell))
         a, b = np.sqrt(a2).reshape(col), np.sqrt(b2).reshape(col)
         if ell >= 2:

@@ -50,17 +50,18 @@ Everything before that factor depends on (r, theta) only, so
 scattered points run it once per distinct (r, theta) pair, a ring, and
 each point gathers its ring's amplitudes: a plane z = const or a
 spherical grid puts many points on one ring.  Rings and points are
-taken in fixed-size blocks, so no table over all points or all degrees
+taken in fixed-size pieces, so no table over all points or all degrees
 is kept.  A real output (a partial sum) builds only the half of each
 degree's matrix that feeds the real part.
 
 Rings are ordered by theta, then r, so rings on one polar angle are
-contiguous.  A run of at least ``_CONE`` of them inside a ring block is a
-cone (the plane z = 0 puts every ring but the origin's on theta = pi/2).
-A cone skips the per-degree passes: once per polar angle, its Legendre
-values and the Chebyshev coefficients of every R_l^k are folded into the
-coefficient matrices, and the product of that fold with the rows T_j(r),
-j <= D = max(ell + 2k), of the cone's radii gives its amplitudes.  The
+contiguous.  A run of at least ``_CONE`` of them, found once over all the
+rings of a call, is a cone (the plane z = 0 puts every ring but the
+origin's on theta = pi/2).  A cone skips the per-degree passes: once per
+polar angle, its Legendre values and the Chebyshev coefficients of every
+R_l^k are folded into the coefficient matrices, and the product of that
+fold with the rows T_j(r), j <= D = max(ell + 2k), of the cone's radii,
+``_CONE`` rings at a time, gives its amplitudes.  The
 Chebyshev and the Jacobi forms of R_l^k are each within ~7e-14 of exact
 values at caps 66..48, in different ways, so cones differ from the
 per-degree path by up to ~3e-15 max|value| at caps 30..22, ~7e-15 at
@@ -395,12 +396,32 @@ class CoefficientField:
 
 
 def _spherical_from_cartesian(x, y, z):
-    r = np.sqrt(x * x + y * y + z * z)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ct = np.where(r > 0, z / np.where(r > 0, r, 1.0), 1.0)
-    theta = np.arccos(np.clip(ct, -1.0, 1.0))
-    phi = np.mod(np.arctan2(y, x), 2.0 * np.pi)
-    return r, theta, phi
+    # written in place, so the temporaries are a few squares and one mask
+    x, y, z = np.broadcast_arrays(x, y, z)
+    r = np.multiply(x, x, out=np.empty(x.shape))
+    r += y * y
+    r += z * z
+    np.sqrt(r, out=r)
+    theta = np.divide(z, r, out=np.ones(x.shape), where=r > 0)
+    np.arccos(np.clip(theta, -1.0, 1.0, out=theta), out=theta)
+    phi = np.arctan2(y, x, out=np.empty(x.shape))
+    return r, theta, np.mod(phi, 2.0 * np.pi, out=phi)
+
+
+def _require_angular_rule(quad: BallQuadrature, polar_degree: int, lmax: int) -> None:
+    """Raise ValueError unless ``quad`` integrates exactly a polar integrand of
+    degree ``polar_degree`` in cos(theta) (Gauss-Legendre with n nodes is exact
+    to degree 2n - 1; an odd part integrates to zero on the symmetric nodes)
+    and orders up to ``lmax`` against orders up to ``lmax`` (the trapezoid
+    rule aliases orders that differ by n_phi).  One node fewer than either
+    minimum leaves O(1) errors in the coefficients of fields of degree lmax."""
+    for name, flag, have, least in (
+        ("n_theta", "--quad-theta", quad.n_theta, polar_degree // 2 + 1),
+        ("n_phi", "--quad-phi", quad.n_phi, 2 * lmax + 1),
+    ):
+        if have < least:
+            raise ValueError(f"quadrature too coarse for degree {lmax}: {name} ({flag}) "
+                             f"must be at least {least}, got {have}")
 
 
 _SHELLS = 4  # radii per sampled block: a few hundred KiB of nodes on the default grid
@@ -443,7 +464,9 @@ def project(eta, kmax: int, degree_caps, quad: BallQuadrature | None = None) -> 
         Support bounds of the requested expansion.
     quad : BallQuadrature, optional
         Integration rule; the default handles combined degrees up to
-        roughly 90.
+        roughly 90.  A rule with fewer than lmax + 1 polar or 2 lmax + 1
+        azimuthal nodes, lmax = max(degree_caps), raises ValueError: it
+        would alias degree-lmax fields by O(1).
 
     Returns
     -------
@@ -456,6 +479,7 @@ def project(eta, kmax: int, degree_caps, quad: BallQuadrature | None = None) -> 
     if quad is None:
         quad = BallQuadrature()
     lmax = max(caps)
+    _require_angular_rule(quad, 2 * lmax, lmax)  # products Y_l^m conj(Y_l'^m), l, l' <= lmax
     f_m = _azimuthal_samples(eta, quad, lmax)
     # weighted radial profiles, (ell, k, n_r); a row does not depend on how
     # many rows its recurrence runs
@@ -480,16 +504,17 @@ def project(eta, kmax: int, degree_caps, quad: BallQuadrature | None = None) -> 
     return CoefficientField._packed(data, np.ones(data.size, dtype=bool), caps, False)
 
 
-# Rings (distinct (r, theta) pairs) and points per synthesis block.  The
+# Rings (distinct (r, theta) pairs) per block of the per-degree path.  The
 # working set of ``synthesize`` is a few (lmax + 1) x _BLOCK arrays, so it
 # does not grow with the point count.
 _BLOCK = 2048
 # Points per Horner sub-block: enough to amortise its few numpy calls per order.
 _POINTS = 2 * _BLOCK
-# Rings per cone: a run of rings with one polar angle this long, within a
-# ring block, takes one GEMM with its fold of coefficients and Legendre values.
-# At caps 48..20 the cone overtakes the per-degree path between 256 and 512
-# rings (a fold costs a few ms however short the run).
+# Rings per cone, at least, and per cone piece: a run of rings with one polar
+# angle this long is a cone, and each piece of it takes one GEMM with its fold
+# of coefficients and Legendre values.  At caps 48..20 the cone overtakes the
+# per-degree path between 256 and 512 rings (a fold costs a few ms however
+# short the run).
 _CONE = _BLOCK // 4
 
 
@@ -588,21 +613,35 @@ def _rings(r: np.ndarray, theta: np.ndarray):
     A NaN equals nothing, so it is a pair of its own.
     """
     order = np.lexsort((r, theta))
-    rs, ts = r[order], theta[order]
     first = np.ones(order.size, dtype=bool)
-    np.not_equal(ts[1:], ts[:-1], out=first[1:])
-    first[1:] |= rs[1:] != rs[:-1]
-    return order, np.cumsum(first) - 1, np.flatnonzero(first)
+    key = theta[order]  # the sorted angles, then the sorted radii
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    r.take(order, out=key)
+    first[1:] |= key[1:] != key[:-1]
+    del key
+    ring = np.cumsum(first)
+    ring -= 1
+    return order, ring, np.flatnonzero(first)
 
 
-def _cones(theta: np.ndarray):
-    """The runs of at least ``_CONE`` equal values in ``theta``, the polar
-    angles of a ring block in ``_rings`` order, as (start, stop) pairs."""
+def _pieces(theta: np.ndarray) -> list:
+    """The pieces that ``synthesize`` takes rings in, as (start, stop, cone)
+    triples in ascending order, for ``theta`` the polar angles of the rings
+    in ``_rings`` order.  A cone, a run of at least ``_CONE`` equal values,
+    is taken ``_CONE`` rings at a time (cone True); the rings between cones
+    are taken ``_BLOCK`` at a time."""
     cut = np.ones(theta.size + 1, dtype=bool)  # where a run starts
     np.not_equal(theta[1:], theta[:-1], out=cut[1:-1])
     cuts = np.flatnonzero(cut)
     long = np.diff(cuts) >= _CONE
-    return zip(cuts[:-1][long].tolist(), cuts[1:][long].tolist())
+    # the empty run at the end takes the rings after the last cone
+    runs = [*zip(cuts[:-1][long].tolist(), cuts[1:][long].tolist()), (theta.size, theta.size)]
+    pieces, done = [], 0
+    for i, j in runs:
+        pieces += [(lo, min(lo + _BLOCK, i), False) for lo in range(done, i, _BLOCK)]
+        pieces += [(lo, min(lo + _CONE, j), True) for lo in range(i, j, _CONE)]
+        done = j
+    return pieces
 
 
 def _chebyshev_coefficients(mats: dict) -> dict:
@@ -650,19 +689,23 @@ def synthesize(c: CoefficientField, r, theta, phi, mode="full"):
     ValueError.
 
     Only the azimuthal factor depends on phi, so the rest runs once per
-    distinct (r, theta) pair, or ring, not once per point.  The rings,
-    ordered by theta and then r, are taken in blocks of ``_BLOCK``: per
-    block, every degree multiplies its radial profiles by its Legendre
-    rows and adds them into one amplitude per order pair +-mu, except on
-    cones, runs of at least ``_CONE`` rings with one theta, which take one
-    GEMM of the fold of that theta (``_fold``) times the Chebyshev
-    coefficients of the radial rows with the rows T_j(r) of their radii.
-    Each point then sums its ring's amplitudes against the powers of
-    w = e^{i phi} by Horner's rule (``_horner``), ``_POINTS`` at a time.
-    Points on distinct rings are the case of one point per ring.  Besides
-    the output and a few index arrays over the points, memory stays bounded
-    for any number of points: the Chebyshev rows are as wide as a ring
-    block, at most ``_BLOCK``, and only the last cone's fold is kept.
+    distinct (r, theta) pair, or ring, not once per point.  The rings are
+    ordered by theta and then r, and the cones, runs of at least ``_CONE``
+    rings with one theta, are found once over all of them (``_pieces``).
+    A cone is taken ``_CONE`` rings at a time: one GEMM of the fold of its
+    theta (``_fold``), made once per theta, times the Chebyshev
+    coefficients of the radial rows with the rows T_j(r) of the piece's
+    radii.  The other rings are taken in blocks of ``_BLOCK``: per block,
+    every degree multiplies its radial profiles by its Legendre rows and
+    adds them into one amplitude per order pair +-mu.  Each point then sums
+    its ring's amplitudes against the powers of w = e^{i phi} by Horner's
+    rule (``_horner``), ``_POINTS`` at a time.  Points on distinct rings
+    are the case of one point per ring.  Besides the output and a few index
+    arrays over the points, memory stays bounded for any number of points:
+    the amplitudes and the Chebyshev rows are as wide as the widest piece,
+    ``_CONE`` columns when every ring but a few lies on cones (the plane
+    z = 0) and ``_BLOCK`` when a block of the per-degree path holds that
+    many, and only the last cone's fold is kept.
 
     A point's value depends on the set of distinct rings in the call, not
     on the order or repetition of the points: shuffled or duplicated
@@ -680,43 +723,37 @@ def synthesize(c: CoefficientField, r, theta, phi, mode="full"):
     lmax = max(mats, default=0)
     blocks = 4 if mode == "full" else 2
     order, ring, start = _rings(rf, tf)
+    pieces = _pieces(tf[order[start]])
     start = np.append(start, order.size)
-    n_rings = start.size - 1
-    # one amplitude buffer serves every ring block, so the heap keeps its shape
-    # from block to block (regrowing it costs a page fault per page); made
-    # after it, the output left ~3k page faults per call at L (ru_minflt)
-    amp_all = np.empty((blocks * (lmax + 1), max(min(n_rings, _BLOCK), 2)))
+    # one amplitude buffer, as wide as the widest piece, serves every piece,
+    # so the heap keeps its shape from piece to piece (regrowing it costs a
+    # page fault per page); made after it, the output left ~3k page faults
+    # per call at L (ru_minflt)
+    cols = max([2] + [hi - lo for lo, hi, _ in pieces])
+    amp_all = np.empty((blocks * (lmax + 1), cols))
     out = np.empty(rf.shape, dtype=complex if mode == "full" else float)
-    # made at the first cone; only the last cone theta's fold is kept, as
-    # rings are theta-major, so a theta's cones are consecutive
+    # made at the first cone piece; only the last cone theta's fold is kept,
+    # as rings are theta-major, so a cone's pieces are consecutive
     cheb = rows_t = fold = fold_theta = None
-    for lo in range(0, n_rings, _BLOCK):
-        hi = min(lo + _BLOCK, n_rings)
+    for lo, hi, cone in pieces:
         at_ring = order[start[lo:hi]]  # one point per ring
         flat = amp_all[:, : max(hi - lo, 2)]
         amp = flat.reshape(blocks, lmax + 1, -1)
-        rest = np.ones(hi - lo, dtype=bool)
-        for i, j in _cones(tf[at_ring]) if mats else ():
+        if cone and mats:
             if cheb is None:
                 cheb = _chebyshev_coefficients(mats)
-                rows_t = np.empty((cheb[lmax].shape[1], amp_all.shape[1]))
-            if tf[at_ring[i]] != fold_theta:
-                fold_theta = tf[at_ring[i]]
-                fold = _fold(mats, cheb, np.cos(tf[at_ring[i : i + 1]]), blocks)
-            _chebyshev_rows(rf[at_ring[i:j]], rows_t[:, : j - i])
-            np.matmul(fold, rows_t[:, : j - i], out=flat[:, i:j])
-            rest[i:j] = False
-        # A lone ring or point would take BLAS's matrix-vector route and
-        # numpy's strided reduction, which round differently from a block;
-        # repeated once, it makes two columns and rounds as inside a block.
-        if rest.all():
+                rows_t = np.empty((cheb[lmax].shape[1], cols))
+            if tf[at_ring[0]] != fold_theta:
+                fold_theta = tf[at_ring[0]]
+                fold = _fold(mats, cheb, np.cos(tf[at_ring[:1]]), blocks)
+            _chebyshev_rows(rf[at_ring], rows_t[:, : hi - lo])
+            np.matmul(fold, rows_t[:, : hi - lo], out=flat[:, : hi - lo])
+        else:
+            # A lone ring or point would take BLAS's matrix-vector route and
+            # numpy's strided reduction, which round differently from a block;
+            # repeated once, it makes two columns and rounds as inside a block.
             at = np.resize(at_ring, max(hi - lo, 2))
             _amplitudes(mats, rf[at], np.cos(tf[at]), amp)
-        elif rest.any():
-            at = np.resize(at_ring[rest], max(np.count_nonzero(rest), 2))
-            part = np.empty((blocks, lmax + 1, at.size))
-            _amplitudes(mats, rf[at], np.cos(tf[at]), part)
-            amp[:, :, rest] = part[:, :, : np.count_nonzero(rest)]
         for first in range(start[lo], start[hi], _POINTS):
             pts = slice(first, min(first + _POINTS, start[hi]))
             width = max(pts.stop - pts.start, 2)

@@ -62,6 +62,19 @@ def test_project_zero_phantom(tmp_path):
     assert all(v == 0 for v in field.entries.values())
 
 
+def test_a_rule_too_coarse_for_the_caps_exits_2_without_output(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert run(["project", "--phantom", "basis", "--index", "1,10,7", "--kmax", "4",
+                "--caps", "16,11,7,5,3", "--quad-radial", "8", "--quad-theta", "8",
+                "--quad-phi", "8", "--out", str(out)]) == 2
+    assert "--quad-theta) must be at least 17, got 8" in capsys.readouterr().err
+    assert run(["simulate", "--mode", "oracle", "--phantom", "gaussian", "--kmax", "2",
+                "--caps", "6", "--quad-theta", "9", "--quad-phi", "12",
+                "--out", str(out)]) == 2
+    assert "--quad-phi) must be at least 13, got 12" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_project_rejects_bad_phantom_parameters(tmp_path):
     out = tmp_path / "x.json"
     assert run(["project", "--phantom", "gaussian", "--center", "2,0,0",

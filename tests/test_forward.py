@@ -231,6 +231,21 @@ def test_basis_phantom_samples_as_its_one_entry_field():
         assert np.array_equal(complex_bits(a.data), complex_bits(b.data))
 
 
+def test_oracle_rejects_a_rule_one_node_too_coarse():
+    # caps (6, 6, 6): the kernel of stage 2 at degree 6 has polar degree 10,
+    # so a degree-6 field needs a rule exact to degree 16, 9 polar nodes,
+    # and 13 azimuthal ones; one node fewer leaves errors of order 0.1 to 1
+    caps = (6, 6, 6)
+    c = CoefficientField({(0, 6, 6): 1.0}, 0, 6)
+    with pytest.raises(ValueError, match=r"n_theta \(--quad-theta\) must be at least 9, got 8"):
+        oracle_measure(c, 2, caps, BallQuadrature(24, 8, 13))
+    with pytest.raises(ValueError, match=r"n_phi \(--quad-phi\) must be at least 13, got 12"):
+        oracle_measure(c, 2, caps, BallQuadrature(24, 9, 12))
+    series = forward_measure(c, 2, caps).data
+    oracle = oracle_measure(c, 2, caps, BallQuadrature(24, 9, 13)).data
+    assert np.max(np.abs(oracle - series)) <= 1e-11 * np.max(np.abs(series))
+
+
 def test_oracle_of_zero_field_is_zero():
     zero = lambda x, y, z: np.zeros_like(x)
     assert oracle_measure(zero, 0, 0, QUAD).get(0, 0, 0) == 0

@@ -340,6 +340,20 @@ def test_project_equals_the_entrywise_reference():
     )
 
 
+def test_project_rejects_a_rule_one_node_too_coarse():
+    # at lmax = 16 the products Y_l^m conj(Y_l'^m) need 17 polar nodes and
+    # 33 azimuthal ones; one node fewer aliases this degree-16 field by O(1)
+    caps = (16, 11, 7, 5, 3)
+    field = CoefficientField({(0, 16, 5): 1.0}, 0, 16)
+    with pytest.raises(ValueError, match=r"n_theta \(--quad-theta\) must be at least 17, got 16"):
+        project(field, 4, caps, BallQuadrature(24, 16, 33))
+    with pytest.raises(ValueError, match=r"n_phi \(--quad-phi\) must be at least 33, got 32"):
+        project(field, 4, caps, BallQuadrature(24, 17, 32))
+    got = project(field, 4, caps, BallQuadrature(24, 17, 33))
+    want = CoefficientField({(0, 16, 5): 1.0}, 4, caps)
+    assert np.max(np.abs(got.data - want.data)) <= 1e-12
+
+
 def test_project_zero_field():
     field = project(lambda x, y, z: np.zeros_like(x), 1, 2, QUAD)
     assert all(abs(v) == 0.0 for v in field.entries.values())
@@ -654,17 +668,18 @@ def test_synthesis_working_memory_is_bounded_in_the_point_count():
 
 def test_cone_synthesis_peak_is_set_by_chebyshev_rows():
     # On the z = 0 plane at caps 66, 64, ..., 48 every ring but the origin's
-    # lies on a cone.  Besides ~24 float64 per point (coordinates, ring
-    # indices, the output), synthesis may keep the ring block's amplitudes,
-    # a fold of D + 1 columns and a few tables of D + 1 rows over a ring
-    # block, D = 66 the largest degree ell + 2k; a table with a row per
-    # (ell, k) pair, 580 of them, does not fit.
+    # lies on a cone, taken _CONE rings at a time.  Besides ~24 float64 per
+    # point (coordinates, ring indices, the output), synthesis may keep one
+    # piece's amplitudes, a fold of D + 1 columns and a few tables of D + 1
+    # rows over a piece, D = 66 the largest degree ell + 2k; neither a table
+    # with a row per (ell, k) pair, 580 of them, nor buffers _BLOCK rings
+    # wide fit.
     caps = tuple(range(66, 47, -2))
     field = random_field(9, caps, np.random.default_rng(6648))
     x, y, z = slice_points("z", 0.0, 201)
     lmax = top = 66
-    bound = 8 * (24 * x.size + 4 * (lmax + 1) * (zernike._BLOCK + top + 1)
-                 + 4 * (top + 1) * zernike._BLOCK)
+    bound = 8 * (24 * x.size + 4 * (lmax + 1) * (zernike._CONE + top + 1)
+                 + 4 * (top + 1) * zernike._CONE)
     tracemalloc.start()
     try:
         synthesize_xyz(field, x, y, z)
@@ -737,6 +752,34 @@ def test_cones_match_the_ring_path():
         cone = synthesize(field, r, th, ph, mode=mode)
         ring = np.concatenate([synthesize(field, *p, mode=mode)
                                for p in zip(*(np.split(a, pieces) for a in (r, th, ph)))])
+        assert np.max(np.abs(cone - ring)) <= 1e-14 * np.max(np.abs(ring)), mode
+
+
+def test_cones_across_block_edges_stay_on_the_cone_path(monkeypatch):
+    # 1,800 random rings, then a cone of _BLOCK + 300 rings on theta = 3.1
+    # that spans three _BLOCK-ring stretches: only the random rings take the
+    # per-degree path, and the cone's values agree with that path
+    rng = np.random.default_rng(1800)
+    field = random_field(2, (20, 16, 12), rng)
+    n_random = 1800
+    th = np.concatenate([rng.uniform(0, 3.0, n_random), np.full(zernike._BLOCK + 300, 3.1)])
+    r, ph = rng.uniform(0, 1, th.size), rng.uniform(0, 2 * math.pi, th.size)
+    pieces = np.arange(zernike._CONE - 1, r.size, zernike._CONE - 1)
+    received = []
+    degrees = zernike._degrees
+
+    def counting(mats, r, x):
+        received.append(len(r))
+        return degrees(mats, r, x)
+
+    for mode in ("full", 1):
+        ring = np.concatenate([synthesize(field, *p, mode=mode)
+                               for p in zip(*(np.split(a, pieces) for a in (r, th, ph)))])
+        received.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(zernike, "_degrees", counting)
+            cone = synthesize(field, r, th, ph, mode=mode)
+        assert received == [n_random], mode
         assert np.max(np.abs(cone - ring)) <= 1e-14 * np.max(np.abs(ring)), mode
 
 
