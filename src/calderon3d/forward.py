@@ -129,7 +129,10 @@ def _oracle_values(eta, caps: tuple, quad: BallQuadrature) -> np.ndarray:
     it.  The values come in the packed (k, ell, m) order.
     """
     lmax = max(caps)
-    f_m = _azimuthal_samples(eta, quad, lmax)
+    f_m = np.empty((quad.n_r, quad.n_theta, 2 * lmax + 1), dtype=complex)
+    for radii, cs in _azimuthal_samples(eta, quad, lmax):
+        f_m[radii, :, lmax:] = cs[:, :, 0] - 1j * cs[:, :, 1]  # orders m = 0..lmax
+        f_m[radii, :, lmax::-1] = cs[:, :, 0] + 1j * cs[:, :, 1]  # orders m = 0..-lmax
     x = np.cos(quad.theta)
     sin2 = (1.0 - x) * (1.0 + x)
     bmax = max(cap + k + 1 for k, cap in enumerate(caps))

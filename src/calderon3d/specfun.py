@@ -116,21 +116,25 @@ def _norm_legendre_sweep(m: int, lmax: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _norm_legendre_degrees(lmax: int, x: np.ndarray):
+def _norm_legendre_degrees(lmax: int, x: np.ndarray, work=None):
     """Yield, for ell = 0..lmax, the rows P~_ell^mu(x), mu = 0..ell, as one array.
 
     The degree-major traversal of ``_norm_legendre_sweep``: degree ell
     comes from degrees ell-1 and ell-2 only, so three (lmax + 1)-row
     buffers, written in rotation, hold every degree and no table over all
-    degrees is kept.  Each row is bit-identical to the matching row of the
-    order-major sweep.  A yielded array is valid only until two more
-    degrees have been yielded (the next degree after those overwrites it),
-    and callers must not write into it: the next two degrees read it.
+    degrees is kept.  ``work``, a flat float array of at least
+    3 (lmax + 1) x.size elements, holds them if given, so a caller that
+    sweeps many point sets allocates them once.  Each row is bit-identical
+    to the matching row of the order-major sweep.  A yielded array is valid
+    only until two more degrees have been yielded (the next degree after
+    those overwrites it), and callers must not write into it: the next two
+    degrees read it.
     """
     x = np.asarray(x, dtype=float)
     somx2 = np.sqrt((1.0 - x) * (1.0 + x))
     col = (-1,) + (1,) * x.ndim
-    bufs = [np.empty((lmax + 1,) + x.shape) for _ in range(3)]
+    size = 3 * (lmax + 1) * x.size
+    bufs = (np.empty(size) if work is None else work[:size]).reshape((3, lmax + 1) + x.shape)
     prev2 = None
     prev = bufs[0][:1]
     prev[...] = math.sqrt(1.0 / (4.0 * math.pi))

@@ -36,9 +36,13 @@ so they use the same container (``forward.MeasurementSet`` is this class).
 
 ``project`` and ``forward.oracle_measure`` sample through one helper that
 transforms ``_SHELLS`` radii at a time: a CoefficientField is read from
-``synthesize_ball_grid``, a pointwise callable is called per block.  Both
-read their Legendre rows from one table over all orders and degrees,
-filled by a single degree-major pass, instead of one order sweep per m.
+``synthesize_ball_grid`` one block of radii at a time, a pointwise
+callable is called per block.  ``project`` takes each block straight into
+the coefficients (theta, then r, by batched products) before it samples
+the next, so it holds no array over the whole grid; the oracle fills its
+azimuthal transform F[r, theta, m] from the blocks.  Both read their
+Legendre rows from one table over all orders and degrees, filled by a
+single degree-major pass, instead of one order sweep per m.
 
 Synthesis runs degree by degree.  For each ell, the signed coefficients
 of every order form one real matrix, and its product with the rows
@@ -424,36 +428,49 @@ def _require_angular_rule(quad: BallQuadrature, polar_degree: int, lmax: int) ->
                              f"must be at least {least}, got {have}")
 
 
-_SHELLS = 4  # radii per sampled block: a few hundred KiB of nodes on the default grid
+_SHELLS = 2  # radii per sampled block: 128 KiB per node coordinate on the default grid
 
 
-def _azimuthal_samples(eta, quad: BallQuadrature, lmax: int) -> np.ndarray:
-    """F[i, j, m + lmax] = sum_p w_phi eta(r_i, theta_j, phi_p) exp(-i m phi_p), |m| <= lmax.
+def _azimuthal_samples(eta, quad: BallQuadrature, lmax: int):
+    """Yield ``(radii, cs)`` per block of ``_SHELLS`` radii, with
+    cs[i, j, 0, mu] = sum_p w_phi eta(r_i, theta_j, phi_p) cos(mu phi_p) and
+    cs[i, j, 1, mu] the same with sin, mu = 0..lmax, i over ``radii``.
 
-    Each block of ``_SHELLS`` radii is transformed as soon as it is sampled:
-    a CoefficientField's from ``synthesize_ball_grid``, a callable's as
+    The azimuthal transform F(m) = sum_p w_phi eta exp(-i m phi_p) is then
+    cs[..., 0, |m|] - i sign(m) cs[..., 1, |m|], and real samples take real
+    products.  mu phi_p is taken at the exact angle 2 pi (mu p mod n_phi) /
+    n_phi.  Each block is transformed as soon as it is sampled: a
+    CoefficientField's from ``synthesize_ball_grid``, a callable's as
     eta(x, y, z) on ``quad.cartesian_grid(radii)``.  A callable is thus called
-    per block, must be pointwise and must return its arguments' shape
-    (else ValueError)."""
-    ms = np.arange(-lmax, lmax + 1)
-    phase = np.exp(-1j * np.outer(quad.phi, ms)) * quad.phi_weight
-    cube = synthesize_ball_grid(eta, quad) if isinstance(eta, CoefficientField) else None
-    f_m = np.empty((quad.n_r, quad.n_theta, len(ms)), dtype=complex)
+    per block, must be pointwise and must return its arguments' shape (else
+    ValueError)."""
+    angle = 2.0 * np.pi * (np.outer(np.arange(quad.n_phi), np.arange(lmax + 1)) % quad.n_phi)
+    angle /= quad.n_phi
+    tables = quad.phi_weight * np.concatenate([np.cos(angle), np.sin(angle)], axis=1)
     for start in range(0, quad.n_r, _SHELLS):
         radii = slice(start, start + _SHELLS)
-        if cube is None:
+        if isinstance(eta, CoefficientField):
+            block = synthesize_ball_grid(eta, quad, radii=radii)
+        else:
             x, y, z = quad.cartesian_grid(radii)
             block = np.asarray(eta(x, y, z))
             if block.shape != x.shape:
                 raise ValueError("field evaluation must preserve the grid shape")
-        else:
-            block = cube[radii]
-        f_m[radii] = (block.reshape(-1, quad.n_phi) @ phase).reshape(-1, quad.n_theta, len(ms))
-    return f_m
+        cs = block.reshape(-1, quad.n_phi) @ tables
+        yield radii, cs.reshape(-1, quad.n_theta, 2, lmax + 1)
 
 
 def project(eta, kmax: int, degree_caps, quad: BallQuadrature | None = None) -> CoefficientField:
     """Quadrature projection of a function onto the basis.
+
+    Each block of radii from ``_azimuthal_samples`` goes straight into the
+    coefficients: one batched product over every order contracts its cos
+    and sin parts over theta against the weighted Legendre table, one
+    batched product over every degree contracts that over r against the
+    weighted rows R_l^k, and the result is added into a (degree, k, order)
+    accumulator.  So no array over the whole grid, F[r, theta, m] included,
+    is held.  c_l^{k,m} is s_m sum_i w_r R_l^k(r_i) sum_j w_theta
+    P~_l^{|m|}(cos theta_j) F(m)[i, j], s_m the negative-order sign.
 
     Parameters
     ----------
@@ -480,27 +497,30 @@ def project(eta, kmax: int, degree_caps, quad: BallQuadrature | None = None) -> 
         quad = BallQuadrature()
     lmax = max(caps)
     _require_angular_rule(quad, 2 * lmax, lmax)  # products Y_l^m conj(Y_l'^m), l, l' <= lmax
-    f_m = _azimuthal_samples(eta, quad, lmax)
-    # weighted radial profiles, (ell, k, n_r); a row does not depend on how
-    # many rows its recurrence runs
-    radial = np.array([quad.r_weights * _radial_zernike_rows(ell, kmax, quad.r)
-                       for ell in range(lmax + 1)])
+    # theta-weighted Legendre rows [mu, ell, j], zero for ell < mu, so each
+    # |m| is computed once and every order takes one batched product
+    weighted = _norm_legendre_table(lmax, np.cos(quad.theta))
+    weighted *= quad.theta_weights
+    # weighted radial rows [ell, k, i]; a row does not depend on how many
+    # rows its recurrence runs
+    radial = np.empty((lmax + 1, kmax + 1, quad.n_r))
+    for ell in range(lmax + 1):
+        np.multiply(quad.r_weights, _radial_zernike_rows(ell, kmax, quad.r), out=radial[ell])
+    # [ell, k, (mu, cos/sin)]
+    acc = np.zeros((lmax + 1, kmax + 1, 2 * (lmax + 1)), dtype=complex)
+    for radii, cs in _azimuthal_samples(eta, quad, lmax):
+        n = len(cs)
+        # real and imaginary parts of complex samples are columns of their own
+        parts = cs.view(float).reshape(*cs.shape, -1)
+        on_theta = weighted @ parts.transpose(3, 1, 0, 2, 4).reshape(lmax + 1, quad.n_theta, -1)
+        # [mu, ell, (i, cos/sin, re/im)] -> [ell, i, (mu, cos/sin, re/im)]
+        on_theta = on_theta.reshape(lmax + 1, lmax + 1, n, -1).transpose(1, 2, 0, 3)
+        on_r = radial[:, :, radii] @ on_theta.reshape(lmax + 1, n, -1)
+        acc += on_r if cs.dtype.kind == "f" else on_r.view(complex)
     base = _bases(caps)
-    ells = np.arange(lmax + 1)[:, None]
-    # packed position of (k, ell, 0) at [ell, k], kept where ell <= caps[k]
-    start = np.array(base[:-1]) + ells * (ells + 1)
-    inside = ells <= np.array(caps)
-
-    # theta-weighted Legendre rows, [mu, ell]; row mu from ell = mu on is
-    # the order-mu sweep, so each |m| is computed once
-    weighted = _norm_legendre_table(lmax, np.cos(quad.theta)) * quad.theta_weights
-    data = np.zeros(base[-1], dtype=complex)
-    for m in range(-lmax, lmax + 1):
-        mu = abs(m)
-        # theta contraction for all ell at once: (nl, nth) @ (nth, nr)
-        rad_prof = weighted[mu, mu:] @ f_m[:, :, m + lmax].T  # (nl, n_r)
-        block = _negative_order_sign(m) * (radial[mu:] * rad_prof[:, None, :]).sum(axis=-1)
-        data[start[mu:][inside[mu:]] + m] = block[inside[mu:]]
+    k, ell, m = _unpack(base, np.arange(base[-1]))
+    cos_part, sin_part = acc.reshape(lmax + 1, kmax + 1, lmax + 1, 2)[ell, k, np.abs(m)].T
+    data = _negative_order_sign(m) * (cos_part - 1j * np.sign(m) * sin_part)
     return CoefficientField._packed(data, np.ones(data.size, dtype=bool), caps, False)
 
 
@@ -556,7 +576,7 @@ def _degree_matrices(c: CoefficientField, mode) -> dict:
     }
 
 
-def _degrees(mats: dict, r: np.ndarray, x: np.ndarray):
+def _degrees(mats: dict, r: np.ndarray, x: np.ndarray, work=None):
     """Degree-major pieces of the expansion at radii ``r`` and polar cosines ``x``.
 
     Yields ``(ell, profiles, rows)`` for every degree in ``mats`` (from
@@ -565,11 +585,16 @@ def _degrees(mats: dict, r: np.ndarray, x: np.ndarray):
     of the B row blocks of M, from one GEMM; ``rows[mu]`` is
     P~_l^mu(x), mu = 0..ell.  Every degree's profiles reuse one buffer, which
     the next degree overwrites, and the Legendre recurrence keeps two degrees.
+    ``work``, a flat float array of at least (B + 3)(lmax + 1) n elements for
+    r and x of n elements, lmax = max(mats), holds them all if given.
     """
     if not mats:
         return
-    buf = np.empty((len(mats[max(mats)]), len(r)))  # the largest degree's rows
-    for ell, rows in enumerate(_norm_legendre_degrees(max(mats), x)):
+    size = len(mats[max(mats)]) * len(r)  # the largest degree's rows
+    if work is None:
+        work = np.empty(size + 3 * (max(mats) + 1) * len(x))
+    buf = work[:size].reshape(-1, len(r))
+    for ell, rows in enumerate(_norm_legendre_degrees(max(mats), x, work[size:])):
         mat = mats.get(ell)
         if mat is not None:
             radial = _radial_zernike_rows(ell, mat.shape[1] - 1, r)
@@ -577,12 +602,13 @@ def _degrees(mats: dict, r: np.ndarray, x: np.ndarray):
             yield ell, profiles.reshape(-1, ell + 1, len(r)), rows
 
 
-def _amplitudes(mats: dict, r: np.ndarray, x: np.ndarray, amp: np.ndarray) -> None:
+def _amplitudes(mats: dict, r: np.ndarray, x: np.ndarray, amp: np.ndarray, work) -> None:
     """Write into ``amp`` everything of the sum but the azimuthal factor, at
     radii ``r`` and polar cosines ``x``: amp[b, mu] sums, over the degrees,
-    row block b of the radial profiles times P~_l^mu(x)."""
+    row block b of the radial profiles times P~_l^mu(x).  ``work`` is as in
+    ``_degrees``."""
     amp[...] = 0.0
-    for ell, profiles, rows in _degrees(mats, r, x):
+    for ell, profiles, rows in _degrees(mats, r, x, work):
         profiles *= rows
         amp[:, : ell + 1] += profiles
 
@@ -726,11 +752,15 @@ def synthesize(c: CoefficientField, r, theta, phi, mode="full"):
     pieces = _pieces(tf[order[start]])
     start = np.append(start, order.size)
     # one amplitude buffer, as wide as the widest piece, serves every piece,
-    # so the heap keeps its shape from piece to piece (regrowing it costs a
-    # page fault per page); made after it, the output left ~3k page faults
-    # per call at L (ru_minflt)
+    # and one work array, as wide as the widest per-degree piece, holds the
+    # per-degree profiles and Legendre rows of every such piece, so the heap
+    # keeps its shape from piece to piece (regrowing it costs a page fault
+    # per page); made after them, the output left ~3k page faults per call
+    # at L (ru_minflt)
     cols = max([2] + [hi - lo for lo, hi, _ in pieces])
     amp_all = np.empty((blocks * (lmax + 1), cols))
+    ring_cols = max([2] + [hi - lo for lo, hi, cone in pieces if not (cone and mats)])
+    work = np.empty((blocks + 3) * (lmax + 1) * ring_cols)
     out = np.empty(rf.shape, dtype=complex if mode == "full" else float)
     # made at the first cone piece; only the last cone theta's fold is kept,
     # as rings are theta-major, so a cone's pieces are consecutive
@@ -753,7 +783,7 @@ def synthesize(c: CoefficientField, r, theta, phi, mode="full"):
             # numpy's strided reduction, which round differently from a block;
             # repeated once, it makes two columns and rounds as inside a block.
             at = np.resize(at_ring, max(hi - lo, 2))
-            _amplitudes(mats, rf[at], np.cos(tf[at]), amp)
+            _amplitudes(mats, rf[at], np.cos(tf[at]), amp, work)
         for first in range(start[lo], start[hi], _POINTS):
             pts = slice(first, min(first + _POINTS, start[hi]))
             width = max(pts.stop - pts.start, 2)
@@ -777,10 +807,13 @@ def synthesize_xyz(c: CoefficientField, x, y, z, mode="full"):
     return synthesize(c, r, theta, phi, mode)
 
 
-def synthesize_ball_grid(c: CoefficientField, quad: BallQuadrature, mode="full"):
+def synthesize_ball_grid(c: CoefficientField, quad: BallQuadrature, mode="full", radii=slice(None)):
     """Evaluate the expansion on a BallQuadrature tensor grid.
 
-    Returns an (n_r, n_theta, n_phi) array.  The grid is separable: each
+    Returns an (n_radii, n_theta, n_phi) array over the radial nodes
+    ``radii`` slices, as in ``quad.cartesian_grid(radii)``; its values equal
+    those rows of the whole grid's (up to the sign of a zero), and the
+    Legendre rows are built once per call.  The grid is separable: each
     degree contributes the outer product of its radial profiles (over r)
     and its Legendre rows (over theta) to one amplitude per order pair
     +-mu.  The per-degree factors are stacked along ell, so one batched
@@ -791,9 +824,10 @@ def synthesize_ball_grid(c: CoefficientField, quad: BallQuadrature, mode="full")
     """
     mats = _degree_matrices(c, mode)
     lmax = max(mats, default=0)
-    profiles_by_ell = np.zeros((4 if mode == "full" else 2, lmax + 1, quad.n_r, lmax + 1))
+    r = quad.r[radii]
+    profiles_by_ell = np.zeros((4 if mode == "full" else 2, lmax + 1, len(r), lmax + 1))
     rows_by_ell = np.zeros((lmax + 1, lmax + 1, quad.n_theta))
-    for ell, profiles, rows in _degrees(mats, quad.r, np.cos(quad.theta)):
+    for ell, profiles, rows in _degrees(mats, r, np.cos(quad.theta)):
         profiles_by_ell[:, : ell + 1, :, ell] = profiles
         rows_by_ell[: ell + 1, ell] = rows
     amp = profiles_by_ell @ rows_by_ell  # (B, lmax + 1, n_r, n_theta)

@@ -145,7 +145,10 @@ def project_entrywise(eta, kmax: int, degree_caps, quad: BallQuadrature) -> dict
     the per-order contraction replaced; returns {ZernikeIndex: complex}."""
     caps = as_caps(kmax, degree_caps)
     lmax = max(caps)
-    f_m = _azimuthal_samples(eta, quad, lmax)
+    f_m = np.empty((quad.n_r, quad.n_theta, 2 * lmax + 1), dtype=complex)
+    for radii, cs in _azimuthal_samples(eta, quad, lmax):
+        f_m[radii, :, lmax:] = cs[:, :, 0] - 1j * cs[:, :, 1]
+        f_m[radii, :, lmax::-1] = cs[:, :, 0] + 1j * cs[:, :, 1]
     radial = [
         quad.r_weights
         * _radial_zernike_rows(ell, max(k for k, cap in enumerate(caps) if cap >= ell), quad.r)

@@ -202,21 +202,34 @@ def test_oracle_matches_series_on_a_random_field():
     assert worst < 1e-8
 
 
-def test_oracle_of_a_field_equals_the_oracle_of_its_ball_grid_samples():
-    # a CoefficientField is sampled by synthesize_ball_grid, exactly what a
-    # callable returning that cube hands the oracle
-    quad = BallQuadrature(24, 32, 64)
-    c = random_field(2, (9, 7, 5), np.random.default_rng(29))
-    cube = synthesize_ball_grid(c, quad)
+def ball_grid_blocks(c, quad):
+    """A callable returning ``synthesize_ball_grid(c, quad, radii=...)`` for the
+    block of radii it is asked for, the first found by its x-plane: what a
+    CoefficientField ``c`` is sampled as."""
     grid_x = quad.cartesian_grid()[0]
 
-    def lookup(x, y, z):
-        # the cube's rows for the radii asked for, the first found by its x-plane
+    def blocks(x, y, z):
         first = next(i for i in range(quad.n_r) if np.array_equal(grid_x[i], x[0]))
-        return cube[first : first + len(x)]
+        return synthesize_ball_grid(c, quad, radii=slice(first, first + len(x)))
 
-    closure = oracle_measure(lookup, 2, (9, 7, 5), quad)
+    return blocks
+
+
+def test_oracle_of_a_field_equals_the_oracle_of_its_ball_grid_samples():
+    # a CoefficientField is sampled by synthesize_ball_grid a block of radii
+    # at a time, exactly what a callable returning those blocks hands the oracle
+    quad = BallQuadrature(24, 32, 64)
+    c = random_field(2, (9, 7, 5), np.random.default_rng(29))
+    closure = oracle_measure(ball_grid_blocks(c, quad), 2, (9, 7, 5), quad)
     field = oracle_measure(c, 2, (9, 7, 5), quad)
+    assert np.array_equal(complex_bits(field.data), complex_bits(closure.data))
+
+
+def test_project_of_a_field_equals_project_of_its_ball_grid_samples():
+    quad = BallQuadrature(24, 32, 64)
+    c = random_field(2, (9, 7, 5), np.random.default_rng(31))
+    closure = project(ball_grid_blocks(c, quad), 2, (9, 7, 5), quad)
+    field = project(c, 2, (9, 7, 5), quad)
     assert np.array_equal(complex_bits(field.data), complex_bits(closure.data))
 
 

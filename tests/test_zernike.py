@@ -8,7 +8,7 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 
-from calderon3d import zernike
+from calderon3d import specfun, zernike
 from calderon3d.forward import oracle_measure
 from calderon3d.quadrature import BallQuadrature, SphereQuadrature
 from calderon3d.specfun import DEGREE_CAP, sph_harm
@@ -328,16 +328,47 @@ def test_project_single_basis_function():
 
 
 def test_project_equals_the_entrywise_reference():
-    def eta(x, y, z):
-        return np.exp(-50.0 * ((x - 0.1) ** 2 + (y + 0.2) ** 2 + (z - 0.25) ** 2))
-
+    # Both sum the products s_m (w_r R_l^k)(w_theta P~_l^|m|) eta (w_phi cos
+    # or w_phi sin) over the n_r + n_theta + n_phi nodes, nested, in different
+    # orders and from the same rounded factors.  So each real and imaginary
+    # part of each is within gamma_N A of the exact nested sum (Higham,
+    # Accuracy and Stability of Numerical Algorithms, 2002, sec. 3.1), A the
+    # sum of the absolute products with |cos|, |sin| <= 1, and the two are
+    # within 2 gamma_N A of each other.  N counts one rounding per addition
+    # level and product, n_r + n_theta + n_phi, plus the three that form the
+    # factors w_r R, w_theta P~ and w_phi cos (or sin).
     caps = (16, 11, 7, 5, 3)
-    got = project(eta, 4, caps, QUAD)
-    want = project_entrywise(eta, 4, caps, QUAD)
+    got = project(gaussian_bump, 4, caps, QUAD)
+    want = project_entrywise(gaussian_bump, 4, caps, QUAD)
     assert list(got.entries) == sorted(want)
-    assert np.array_equal(
-        complex_bits(got.entries.values()), complex_bits(want[i] for i in got.entries)
-    )
+    lmax = max(caps)
+    on_phi = np.abs(gaussian_bump(*QUAD.cartesian_grid())).sum(axis=-1) * QUAD.phi_weight
+    legendre = np.abs(specfun._norm_legendre_table(lmax, np.cos(QUAD.theta))) * QUAD.theta_weights
+    on_theta = legendre @ on_phi.T  # [mu, ell, i]
+    n = QUAD.n_r + QUAD.n_theta + QUAD.n_phi + 3
+    gamma = n * 2.0**-53 / (1 - n * 2.0**-53)
+    for idx, value in got.entries.items():
+        bound = 2 * gamma * np.sum(np.abs(radial_zernike(idx.ell, idx.k, QUAD.r))
+                                   * QUAD.r_weights * on_theta[abs(idx.m), idx.ell])
+        diff = value - want[idx]
+        assert abs(diff.real) <= bound and abs(diff.imag) <= bound, idx
+
+
+def test_project_holds_no_cube_of_azimuthal_samples():
+    # at S on the default rule, project's traced peak stays below the
+    # (n_r, n_theta, 2 lmax + 1) complex array F[r, theta, m]: each block of
+    # radii goes into the coefficients before the next is sampled
+    caps = (16, 11, 7, 5, 3)
+    cube = QUAD.n_r * QUAD.n_theta * (2 * max(caps) + 1) * np.dtype(complex).itemsize
+    project(gaussian_bump, 4, caps, QUAD)
+    tracemalloc.start()
+    try:
+        project(gaussian_bump, 4, caps, QUAD)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print(f"project at S: traced peak {peak / 2**20:.2f} MiB, F {cube / 2**20:.2f} MiB")
+    assert peak < cube
 
 
 def test_project_rejects_a_rule_one_node_too_coarse():
@@ -394,26 +425,31 @@ def test_a_callable_is_sampled_a_block_of_radii_at_a_time():
 
 
 def test_sampling_memory_does_not_grow_with_the_radial_order():
-    # doubling the radii may grow the traced peak of project and the oracle
-    # by little more than their output F[i, j, m], not by a cube of samples
-    caps = (6, 6, 6)
+    # doubling the radii may grow the oracle's traced peak by little more
+    # than its F[i, j, m], and project's by no more than its arrays over the
+    # radii: the weighted radial table [ell, k, i] and, while it is filled,
+    # one degree's recurrence, kmax + 1 rows and four vectors; not by a cube
+    caps, kmax = (6, 6, 6), 2
 
     def peak(measure, n_r):
         quad = BallQuadrature(n_r, 32, 64)
-        measure(gaussian_bump, 2, caps, quad)
+        measure(gaussian_bump, kmax, caps, quad)
         tracemalloc.start()
         try:
-            measure(gaussian_bump, 2, caps, quad)
+            measure(gaussian_bump, kmax, caps, quad)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    f_growth = 48 * 32 * (2 * max(caps) + 1) * np.dtype(complex).itemsize
-    for measure in (project, oracle_measure):
+    size = np.dtype(float).itemsize
+    bounds = {
+        project: 48 * ((max(caps) + 1) * (kmax + 1) + kmax + 1 + 4) * size,
+        oracle_measure: 1.5 * 48 * 32 * (2 * max(caps) + 1) * np.dtype(complex).itemsize,
+    }
+    for measure, bound in bounds.items():
         growth = peak(measure, 96) - peak(measure, 48)
-        print(f"{measure.__name__}: peak grows {growth / 2**20:.2f} MiB, "
-              f"F {f_growth / 2**20:.2f} MiB")
-        assert growth <= 1.5 * f_growth, measure
+        print(f"{measure.__name__}: peak grows {growth} B, bound {bound:.0f} B")
+        assert growth <= bound, measure
 
 
 def test_project_real_field_has_conjugate_symmetry():
@@ -768,9 +804,9 @@ def test_cones_across_block_edges_stay_on_the_cone_path(monkeypatch):
     received = []
     degrees = zernike._degrees
 
-    def counting(mats, r, x):
+    def counting(mats, r, x, *work):
         received.append(len(r))
-        return degrees(mats, r, x)
+        return degrees(mats, r, x, *work)
 
     for mode in ("full", 1):
         ring = np.concatenate([synthesize(field, *p, mode=mode)
@@ -787,9 +823,9 @@ def test_ring_stage_runs_once_per_distinct_ring(monkeypatch):
     received = []
     degrees = zernike._degrees
 
-    def counting(mats, r, x):
+    def counting(mats, r, x, *work):
         received.append(len(r))
-        return degrees(mats, r, x)
+        return degrees(mats, r, x, *work)
 
     monkeypatch.setattr(zernike, "_degrees", counting)
     field = random_field(1, (6, 4), np.random.default_rng(64))
