@@ -16,7 +16,8 @@ with u_a^b = r^a Y_a^b / a.  Two independent routes are provided:
   (exact to rounding, no truncation error).  The constants Q come from
   ``recon.coupling_operator``, built once per tuple of degree caps and
   kept in a small bounded cache that ``recon.reconstruct`` shares, so the
-  series is one gather and one reduction per radial index k;
+  series is one gather and one reduction per radial index k over the
+  m >= 0 rows, applied to the orders m and -m at once;
 * ``oracle_measure``: direct ball quadrature of the kernel Phi for
   arbitrary evaluable fields, sampled on the grid by the same rule as
   ``zernike.project``.  The integral is separable: an azimuthal
@@ -36,7 +37,7 @@ import numpy as np
 
 from . import specfun
 from .quadrature import BallQuadrature
-from .recon import coupling_operator
+from .recon import _joined, _split, coupling_operator
 from .zernike import (
     CoefficientField,
     _azimuthal_samples,
@@ -88,9 +89,9 @@ def forward_measure(c: CoefficientField, K: int, degree_caps) -> MeasurementSet:
         if offender is not None:
             raise IncompleteSupportError(*offender)
     op = coupling_operator(caps)
-    # the operator's columns are a packed layout under col_caps
-    coeffs = c._relaid(op.col_caps)[0]
-    values = np.concatenate([st.term_sum(coeffs) for st in op.stages])
+    # the operator's columns are the half layout under col_caps, its rows under caps
+    x = _split(c._relaid(op.col_caps)[0], op.cols)
+    values = _joined(np.concatenate([st.term_sum(x) for st in op.stages], axis=1), op.rows, _bases(caps)[-1])
     return MeasurementSet._packed(values, np.ones(values.size, dtype=bool), caps)
 
 

@@ -30,19 +30,23 @@ is requested explicitly.
 
 For given degree caps the constants Q form one fixed sparse operator,
 built by ``coupling_operator`` and shared by ``forward.forward_measure``
-(which applies it) and ``reconstruct`` (which inverts it stage by stage),
-both in one (k, l, m) row order.  Each stage k is a rectangular table
-with values equal to ``big_q``: one table row per (q, s) in summation
-order, the divisor last.  ``CouplingStage.term_sum`` adds all the terms
-for the forward map and all but the divisor for the solve, in one gather
-and one reduction over the stage; numpy's reduction over an outer axis
-adds the terms one at a time from zero, so its order is fixed.  The Gaunt
-factors of every stage come from one batched ``specfun.coupling_gaunts``
-call, one row per (k, s, l), and each serves every q of its (k, s).
-``big_q`` asks the same routine for its one row; a row does not depend on
-the batch it is computed in, so its values equal the operator's.  The
-operator is kept in a bounded cache keyed by the caps tuple; at the
-schedule (48, 44, ..., 20) it has 10,472 rows and 99,624 terms in 1.59 MB.
+(which applies it) and ``reconstruct`` (which inverts it stage by stage).
+Q is even in m (flipping every order of a Gaunt coefficient multiplies
+its 3j symbols by (-1)^(sum of degrees) = +1) and row (k, l, m) reads
+only columns of order m, so the operator keeps the rows with m >= 0, and
+its callers apply each to four real rows at once: Re c(m), Im c(m),
+Re c(-m) and Im c(-m).  Each stage k is a rectangular table with values
+equal to ``big_q``: one table row per (q, s) in summation order, the
+divisor last.  ``CouplingStage.term_sum`` adds all the terms for the
+forward map and all but the divisor for the solve, in one gather and one
+reduction over the stage; numpy's reduction over an outer axis adds the
+terms one at a time from zero, so its order is fixed.  The Gaunt factors
+of every stage come from one batched ``specfun.coupling_gaunts`` call,
+one row per (k, s, l), and each serves every q of its (k, s).  ``big_q``
+asks the same routine for its one row; a row does not depend on the batch
+it is computed in, so its values equal the operator's.  The operator is
+kept in a bounded cache keyed by the caps tuple; at the schedule
+(48, 44, ..., 20) it has 5,376 rows and 51,492 terms in 0.70 MB.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -187,16 +192,15 @@ def _order_free_factor(ell, s: int, k: int, q: int):
 
 @dataclass(frozen=True, eq=False)
 class CouplingStage:
-    """The terms of the measurements at one radial index k.
+    """The terms of the measurements with m >= 0 at one radial index k.
 
     ``cols`` and ``vals`` have shape (terms, rows); rows are local to the
-    stage, in the (ell, m) order of both the forward map and the solve,
-    and term j is the j-th (q, s) of the series.
+    stage, in (ell, m) order, and term j is the j-th (q, s) of the series.
     The last, q = k and s = 0, is each row's own coefficient ``cols[-1]``
     times the divisor ``vals[-1]`` = Q_{l,0}^{k,m,k}.
     """
 
-    start: int  # flat index of the stage's first row
+    start: int  # index of the stage's first row
     cols: np.ndarray
     vals: np.ndarray
 
@@ -204,39 +208,38 @@ class CouplingStage:
     def size(self) -> int:
         return self.vals.shape[1]
 
-    def term_sum(self, coeffs: np.ndarray, stop: int | None = None) -> np.ndarray:
-        """Per row, its terms before ``stop`` (all by default) against the flat
-        column vector ``coeffs``, added one at a time from zero in term order,
-        real and imaginary parts apart.
-
-        One gather fills a (terms, rows) complex array, viewed as (terms,
-        rows, 2) with the last axis the (real, imaginary) pair; two products
-        scale it in place, and one reduction sums over the terms.  numpy
-        reduces an outer axis by adding whole slices to the ``initial``
-        zeros in index order, so the order is fixed and is the term order.  It sums pairwise, in another order, only along the
-        innermost extent, and the trailing pair keeps that extent at least 2
-        even for a one-row stage.
+    def term_sum(self, x: np.ndarray, stop: int | None = None) -> np.ndarray:
+        """Per row of the real (B, columns) array ``x`` and per stage row,
+        the terms before ``stop`` (all by default) added one at a time from
+        zero in term order: one gather, one product in place and one
+        reduction over the (B, terms, rows) array.  numpy reduces an axis
+        that is not innermost by adding whole slices to the ``initial``
+        zeros in index order.  Along the innermost extent it sums pairwise,
+        in another order, so a one-row stage reduces a (terms, B) copy.
         """
-        x = coeffs[self.cols[:stop]]
-        parts = x.view(float).reshape(x.shape + (2,))
-        np.multiply(self.vals[:stop], parts[..., 0], out=parts[..., 0])
-        np.multiply(self.vals[:stop], parts[..., 1], out=parts[..., 1])
-        return np.add.reduce(parts, axis=0, initial=0.0).view(complex).ravel()
+        y = x.take(self.cols[:stop], axis=1)
+        y *= self.vals[:stop]
+        if self.size == 1:
+            return np.add.reduce(y.transpose(1, 0, 2).copy(), axis=0, initial=0.0)
+        return np.add.reduce(y, axis=1, initial=0.0)
 
 
 @dataclass(frozen=True, eq=False)
 class CouplingOperator:
     """The series couplings Q_{l,s}^{k,m,q} for one tuple of degree caps.
 
-    Row (k, ell, m), ell <= caps[k], is a measurement, and the rows are a
-    packed coefficient layout under ``caps``.  Column (q, ell', m) is a
-    coefficient; the columns are the packed layout under ``col_caps``,
-    whose degree for radial index q exceeds caps[q] only for infeasible
-    schedules.
+    Row (k, ell, m), ell <= caps[k], 0 <= m <= ell, is a measurement;
+    column (q, ell', m) a coefficient, with degrees up to ``col_caps``,
+    which exceed ``caps`` only for infeasible schedules.  Both are half
+    layouts: (k, ell, m) at base[k] + ell (ell + 1) / 2 + m.  ``rows[:, i]``
+    holds the packed positions of row i at m and at -m, and ``cols`` the
+    same for the columns (``rows`` itself when the caps agree).
     """
 
     col_caps: tuple
-    col_base: tuple  # col_base[q]: flat index of column (q, 0, 0); last entry is the width
+    col_base: tuple  # col_base[q]: index of column (q, 0, 0); last entry is the width
+    rows: np.ndarray
+    cols: np.ndarray
     stages: tuple
 
 
@@ -244,6 +247,40 @@ def _frozen(values, dtype) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.flags.writeable = False
     return arr
+
+
+def _half_degrees(cap: int):
+    """(ell, m) over one k of a half layout: ell <= cap, then 0 <= m <= ell."""
+    ell = np.repeat(np.arange(cap + 1), np.arange(1, cap + 2))
+    return ell, np.arange(ell.size) - ell * (ell + 1) // 2
+
+
+def _half_pairs(caps) -> np.ndarray:
+    """The packed positions under ``caps`` of (k, ell, m) and (k, ell, -m),
+    (2, slots), over the half layout under ``caps``."""
+    pairs = []
+    for b, cap in zip(_bases(caps), caps):
+        ell, m = _half_degrees(cap)
+        pairs.append([b + ell * (ell + 1) + m, b + ell * (ell + 1) - m])
+    return _frozen(np.concatenate(pairs, axis=1), np.intp)
+
+
+def _split(data: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """The four rows Re c(m), Im c(m), Re c(-m), Im c(-m) of packed ``data``."""
+    both = data.take(pairs)
+    x = np.empty((4, pairs.shape[1]))
+    x[0::2], x[1::2] = both.real, both.imag
+    return x
+
+
+def _joined(x: np.ndarray, pairs: np.ndarray, size: int) -> np.ndarray:
+    """The packed complex array of ``size`` slots whose ``_split`` is ``x``; at
+    m = 0 both pairs name one slot, which the callers' rows give equal values."""
+    both = np.empty((2, pairs.shape[1]), dtype=complex)
+    both.real, both.imag = x[0::2], x[1::2]
+    out = np.empty(size, dtype=complex)
+    out[pairs] = both
+    return out
 
 
 @lru_cache(maxsize=4)
@@ -265,7 +302,7 @@ def coupling_operator(caps: tuple) -> CouplingOperator:
             )
     K = len(caps) - 1
     col_caps = tuple(max(caps[k] + 2 * (k - q) for k in range(q, K + 1)) for q in range(K + 1))
-    col_base = _bases(col_caps)
+    col_base = (0, *accumulate((cap + 1) * (cap + 2) // 2 for cap in col_caps))
     # every Gaunt row of every stage, (k, s, ell) in order, in one batch
     rows = [(k, s, ell) for k, cap in enumerate(caps) for s in range(k + 1) for ell in range(cap + 1)]
     table = specfun.coupling_gaunts(*zip(*rows))
@@ -273,12 +310,9 @@ def coupling_operator(caps: tuple) -> CouplingOperator:
     start = 0
     first_row = 0
     for k, cap in enumerate(caps):
-        ell = np.repeat(np.arange(cap + 1), 2 * np.arange(cap + 1) + 1)
-        m = np.arange(ell.size) - ell * (ell + 1)
+        ell, m = _half_degrees(cap)
         sign = np.where(m % 2 == 1, 1.0, -1.0)
-        # even in m: flipping both orders multiplies the 3j symbols by
-        # (-1)^(sum of degrees) = +1 and keeps the phase (-1)^m
-        gaunts = [table[first_row + s * (cap + 1) + ell, np.abs(m)] for s in range(k + 1)]
+        gaunts = [table[first_row + s * (cap + 1) + ell, m] for s in range(k + 1)]
         first_row += (k + 1) * (cap + 1)
 
         def term(q, s):
@@ -287,7 +321,7 @@ def coupling_operator(caps: tuple) -> CouplingOperator:
             g = gaunts[s]
             # big_q returns +0.0 for a vanishing Gaunt, never -0.0
             return (
-                col_base[q] + (ell + 2 * s) * (ell + 2 * s + 1) + m,
+                col_base[q] + (ell + 2 * s) * (ell + 2 * s + 1) // 2 + m,
                 np.where(g == 0.0, 0.0, sign * (factor * g)),
             )
 
@@ -295,12 +329,14 @@ def coupling_operator(caps: tuple) -> CouplingOperator:
         stages.append(
             CouplingStage(
                 start=start,
-                cols=_frozen([c for c, _ in terms], np.intp),
+                cols=_frozen([c for c, _ in terms], np.int32),
                 vals=_frozen([v for _, v in terms], float),
             )
         )
         start += ell.size
-    return CouplingOperator(col_caps, col_base, tuple(stages))
+    pairs = _half_pairs(caps)
+    cols = pairs if col_caps == caps else _half_pairs(col_caps)
+    return CouplingOperator(col_caps, col_base, pairs, cols, tuple(stages))
 
 
 def validate_schedule(schedule: TruncationSchedule) -> list:
@@ -353,39 +389,52 @@ def reconstruct(
     if violations and not zero_fill:
         raise InfeasibleScheduleError(violations)
     op = coupling_operator(schedule.caps)
-    # the rows are the packed layout under the schedule's caps
+    # the packed layout under the schedule's caps holds every measurement
     measured, have = ms._relaid(schedule.caps)
     if not have.all():
         k, ell, m = _unpack(_bases(schedule.caps), np.flatnonzero(~have))
         gap = np.lexsort((m, -ell, k))[0]
         raise MissingMeasurementError(int(k[gap]), int(ell[gap]), int(m[gap]))
-    coeffs = np.zeros(op.col_base[-1], dtype=complex)  # stays 0 where never reconstructed
-    inner = np.empty(measured.size, dtype=complex)
+    size = measured.size
+    measured = _split(measured, op.rows)
+    x = np.zeros((4, op.col_base[-1]))  # stays 0 where never reconstructed
+    inner, floors = [], []
     for k, st in enumerate(op.stages):
         divisor = st.vals[-1]
-        for i in np.flatnonzero(np.abs(divisor) < DIVISOR_UNDERFLOW).tolist():
-            ell = math.isqrt(i)
+        floors.append(float(np.abs(divisor).min()))
+        bad = []  # one warning per (k, ell, m), m < 0 included, in (ell, m) order
+        if floors[-1] < DIVISOR_UNDERFLOW:
+            for i in np.flatnonzero(np.abs(divisor) < DIVISOR_UNDERFLOW).tolist():
+                ell = (math.isqrt(8 * i + 1) - 1) // 2
+                m = i - ell * (ell + 1) // 2
+                bad += [(ell, -m, i), (ell, m, i)] if m else [(ell, 0, i)]
+        for ell, m, i in sorted(bad):
             warnings.warn(
                 f"divisor |Q| = {abs(divisor[i]):.3e} below {DIVISOR_UNDERFLOW} at "
-                f"(k={k}, ell={ell}, m={i - ell * (ell + 1)}); the special functions are suspect",
+                f"(k={k}, ell={ell}, m={m}); the special functions are suspect",
                 DivisorUnderflowWarning,
             )
-        rows = slice(st.start, st.start + st.size)
-        inner[rows] = st.term_sum(coeffs, -1)
-        rhs = measured[rows] - inner[rows]
-        # the stage's own coefficients, cols[-1], are the block from col_base[k];
-        # divide each part: numpy's complex / float multiplies by the
-        # reciprocal, which rounds differently from a true division
-        own = slice(op.col_base[k], op.col_base[k] + st.size)
-        np.divide(rhs.real, divisor, out=coeffs.real[own])
-        np.divide(rhs.imag, divisor, out=coeffs.imag[own])
-    solution = np.concatenate([coeffs[b : b + st.size] for b, st in zip(op.col_base, op.stages)])
-    # np.hypot rounds like the builtin abs(complex); np.abs does not
-    largest = np.maximum.reduceat(np.hypot(inner.real, inner.imag), [st.start for st in op.stages])
+        inner.append(st.term_sum(x, -1))
+        # the stage's own coefficients, cols[-1], are the block from col_base[k]
+        x[:, op.col_base[k] : op.col_base[k] + st.size] = (measured[:, st.start : st.start + st.size]
+                                                          - inner[-1]) / divisor
+    solution = np.concatenate([x[:, b : b + st.size] for b, st in zip(op.col_base, op.stages)], axis=1)
+    # np.hypot rounds like the builtin abs(complex); np.abs does not.  It is
+    # slow, so it runs only where |z| can be a stage's largest: |z| is 1 to
+    # sqrt 2 times max(|Re z|, |Im z|), so no row whose larger part is below
+    # 0.7071 of the stage's largest (below 1/sqrt 2 by more than hypot's
+    # rounding) can be; a NaN compares false and keeps its whole stage
+    inner = np.concatenate(inner, axis=1)
+    part, starts = np.abs(inner).max(axis=0), [st.start for st in op.stages]
+    near = np.flatnonzero(~(part < np.repeat(np.maximum.reduceat(part, starts) * 0.7071,
+                                              np.diff([*starts, part.size]))))
+    z = inner.take(near, axis=1)
+    largest = np.maximum.reduceat(np.maximum(np.hypot(z[0], z[1]), np.hypot(z[2], z[3])),
+                                  np.searchsorted(near, starts))
     return ReconReport(
-        field=CoefficientField._packed(solution, have, schedule.caps),
+        field=CoefficientField._packed(_joined(solution, op.rows, size), have, schedule.caps),
         schedule=schedule,
-        min_divisor=min(float(np.abs(st.vals[-1]).min()) for st in op.stages),
+        min_divisor=min(floors),
         stages=tuple(StageDiagnostic(k=k, max_inner_sum_magnitude=float(v))
                      for k, v in enumerate(largest)),
         # an infeasible schedule always leaves some dependency unreconstructed

@@ -225,8 +225,11 @@ def _check_schedules():
 
 def _check_divisor_floor(lmax, kmax):
     caps = (lmax,) * (kmax + 1)
-    # the divisors reconstruct uses, in (k, ell, m) order; argmin takes the first
-    divisors = np.abs(np.concatenate([st.vals[-1] for st in coupling_operator(caps).stages]))
+    # the divisors reconstruct uses, laid out in (k, ell, m) order (the operator
+    # holds the m >= 0 rows, equal to the m < 0 ones); argmin takes the first
+    op = coupling_operator(caps)
+    divisors = np.empty(_bases(caps)[-1])
+    divisors[op.rows] = np.abs(np.concatenate([st.vals[-1] for st in op.stages]))
     floor, at = divisors.min(), [int(v) for v in _unpack(_bases(caps), np.argmin(divisors))]
     # their Gaunt rows G_{k+1, l+k+1, l}^{0,-m,m}, one per (k, ell), in one batch
     ks, ells = np.divmod(np.arange((kmax + 1) * (lmax + 1)), lmax + 1)

@@ -60,13 +60,13 @@ degree's matrix that feeds the real part.
 
 Rings are ordered by theta, then r, so rings on one polar angle are
 contiguous.  A run of at least ``_CONE`` of them, found once over all the
-rings of a call, is a cone (the plane z = 0 puts every ring but the
-origin's on theta = pi/2).  A cone skips the per-degree passes: once per
-polar angle, its Legendre values and the Chebyshev coefficients of every
-R_l^k are folded into the coefficient matrices, and the product of that
-fold with the rows T_j(r), j <= D = max(ell + 2k), of the cone's radii,
-``_CONE`` rings at a time, gives its amplitudes.  The
-Chebyshev and the Jacobi forms of R_l^k are each within ~7e-14 of exact
+rings of a call, is a cone (the plane z = 0 puts every ring on
+theta = pi/2, the origin's too: its value does not depend on theta).  A
+cone skips the per-degree passes: once per polar angle, its Legendre
+values and the Chebyshev coefficients of every R_l^k are folded into the
+coefficient matrices, and the product of that fold with the rows T_j(r),
+j <= D = max(ell + 2k), of the cone's radii, ``_CONE`` rings at a time,
+gives its amplitudes.  The Chebyshev and the Jacobi forms of R_l^k are each within ~7e-14 of exact
 values at caps 66..48, in different ways, so cones differ from the
 per-degree path by up to ~3e-15 max|value| at caps 30..22, ~7e-15 at
 48..20 and ~1.1e-14 at 66..48.  Which rings form cones depends only on
@@ -373,10 +373,13 @@ class CoefficientField:
         return data, present
 
     def _sum_squares(self, k=None) -> float:
-        # Python's sum of abs(v) ** 2 in packed order: add_noise scales by
-        # rms(), and numpy's square or pairwise sum would move its last bits
+        # |v|^2 added left to right in packed order, |v| rounded as abs() rounds
+        # it, as Python 3.11's sum() adds them: add_noise scales by rms(), and
+        # a pairwise sum (numpy's) or a compensated one (sum() from Python
+        # 3.12 on) would move its last bits with the Python version
         span = slice(None) if k is None else slice(self.base[k], self.base[k + 1])
-        return sum(abs(v) ** 2 for v in self.data[span][self.present[span]].tolist())
+        v = self.data[span][self.present[span]]
+        return float(np.cumsum(np.square(np.hypot(v.real, v.imag)))[-1]) if v.size else 0.0
 
     def norm(self) -> float:
         """L^2(ball) norm of the represented field (basis orthonormality)."""
@@ -406,7 +409,9 @@ def _spherical_from_cartesian(x, y, z):
     r += y * y
     r += z * z
     np.sqrt(r, out=r)
-    theta = np.divide(z, r, out=np.ones(x.shape), where=r > 0)
+    # the origin's value does not depend on theta; taking theta = pi/2 puts
+    # it on the cone of the plane z = 0 instead of on a lone ring
+    theta = np.divide(z, r, out=np.zeros(x.shape), where=r > 0)
     np.arccos(np.clip(theta, -1.0, 1.0, out=theta), out=theta)
     phi = np.arctan2(y, x, out=np.empty(x.shape))
     return r, theta, np.mod(phi, 2.0 * np.pi, out=phi)
@@ -440,17 +445,19 @@ def _azimuthal_samples(eta, quad: BallQuadrature, lmax: int):
     cs[..., 0, |m|] - i sign(m) cs[..., 1, |m|], and real samples take real
     products.  mu phi_p is taken at the exact angle 2 pi (mu p mod n_phi) /
     n_phi.  Each block is transformed as soon as it is sampled: a
-    CoefficientField's from ``synthesize_ball_grid``, a callable's as
+    CoefficientField's from ``synthesize_ball_grid``'s sampler, which builds
+    its radius-independent tables once per call, a callable's as
     eta(x, y, z) on ``quad.cartesian_grid(radii)``.  A callable is thus called
     per block, must be pointwise and must return its arguments' shape (else
     ValueError)."""
     angle = 2.0 * np.pi * (np.outer(np.arange(quad.n_phi), np.arange(lmax + 1)) % quad.n_phi)
     angle /= quad.n_phi
     tables = quad.phi_weight * np.concatenate([np.cos(angle), np.sin(angle)], axis=1)
+    field = _ball_grid_sampler(eta, quad) if isinstance(eta, CoefficientField) else None
     for start in range(0, quad.n_r, _SHELLS):
         radii = slice(start, start + _SHELLS)
-        if isinstance(eta, CoefficientField):
-            block = synthesize_ball_grid(eta, quad, radii=radii)
+        if field is not None:
+            block = field(radii)
         else:
             x, y, z = quad.cartesian_grid(radii)
             block = np.asarray(eta(x, y, z))
@@ -576,7 +583,7 @@ def _degree_matrices(c: CoefficientField, mode) -> dict:
     }
 
 
-def _degrees(mats: dict, r: np.ndarray, x: np.ndarray, work=None):
+def _degrees(mats: dict, r: np.ndarray, x: np.ndarray, work: np.ndarray):
     """Degree-major pieces of the expansion at radii ``r`` and polar cosines ``x``.
 
     Yields ``(ell, profiles, rows)`` for every degree in ``mats`` (from
@@ -586,13 +593,11 @@ def _degrees(mats: dict, r: np.ndarray, x: np.ndarray, work=None):
     P~_l^mu(x), mu = 0..ell.  Every degree's profiles reuse one buffer, which
     the next degree overwrites, and the Legendre recurrence keeps two degrees.
     ``work``, a flat float array of at least (B + 3)(lmax + 1) n elements for
-    r and x of n elements, lmax = max(mats), holds them all if given.
+    r and x of n elements, lmax = max(mats), holds them all.
     """
     if not mats:
         return
     size = len(mats[max(mats)]) * len(r)  # the largest degree's rows
-    if work is None:
-        work = np.empty(size + 3 * (max(mats) + 1) * len(x))
     buf = work[:size].reshape(-1, len(r))
     for ell, rows in enumerate(_norm_legendre_degrees(max(mats), x, work[size:])):
         mat = mats.get(ell)
@@ -729,9 +734,9 @@ def synthesize(c: CoefficientField, r, theta, phi, mode="full"):
     are the case of one point per ring.  Besides the output and a few index
     arrays over the points, memory stays bounded for any number of points:
     the amplitudes and the Chebyshev rows are as wide as the widest piece,
-    ``_CONE`` columns when every ring but a few lies on cones (the plane
-    z = 0) and ``_BLOCK`` when a block of the per-degree path holds that
-    many, and only the last cone's fold is kept.
+    ``_CONE`` columns when every ring lies on cones (the plane z = 0) and
+    ``_BLOCK`` when a block of the per-degree path holds that many, and
+    only the last cone's fold is kept.
 
     A point's value depends on the set of distinct rings in the call, not
     on the order or repetition of the points: shuffled or duplicated
@@ -812,33 +817,50 @@ def synthesize_ball_grid(c: CoefficientField, quad: BallQuadrature, mode="full",
 
     Returns an (n_radii, n_theta, n_phi) array over the radial nodes
     ``radii`` slices, as in ``quad.cartesian_grid(radii)``; its values equal
-    those rows of the whole grid's (up to the sign of a zero), and the
-    Legendre rows are built once per call.  The grid is separable: each
-    degree contributes the outer product of its radial profiles (over r)
-    and its Legendre rows (over theta) to one amplitude per order pair
-    +-mu.  The per-degree factors are stacked along ell, so one batched
-    matrix product sums those outer products, and a single tensordot with
-    cos(mu phi_j) and sin(mu phi_j) finishes the sum; mu phi_j is taken at
-    the exact angle 2 pi (mu j mod n_phi) / n_phi.  ``mode`` is as in
-    ``synthesize``.
+    those rows of the whole grid's (up to the sign of a zero).  The grid is
+    separable: each degree contributes the outer product of its radial
+    profiles (over r) and its Legendre rows (over theta) to one amplitude
+    per order pair +-mu.  The per-degree factors are stacked along ell, so
+    one batched matrix product sums those outer products, and a single
+    tensordot with cos(mu phi_j) and sin(mu phi_j) finishes the sum; mu
+    phi_j is taken at the exact angle 2 pi (mu j mod n_phi) / n_phi.
+    ``mode`` is as in ``synthesize``.
     """
+    return _ball_grid_sampler(c, quad, mode)(radii)
+
+
+def _ball_grid_sampler(c: CoefficientField, quad: BallQuadrature, mode="full"):
+    """``synthesize_ball_grid(c, quad, mode, radii)`` as a function of
+    ``radii``, with the degree matrices, the rows R_l^k(r) over every radius,
+    the Legendre rows over theta and the azimuthal tables built once, so a
+    sampler that reads many blocks of radii does not rebuild them per block."""
     mats = _degree_matrices(c, mode)
     lmax = max(mats, default=0)
-    r = quad.r[radii]
-    profiles_by_ell = np.zeros((4 if mode == "full" else 2, lmax + 1, len(r), lmax + 1))
     rows_by_ell = np.zeros((lmax + 1, lmax + 1, quad.n_theta))
-    for ell, profiles, rows in _degrees(mats, r, np.cos(quad.theta)):
-        profiles_by_ell[:, : ell + 1, :, ell] = profiles
-        rows_by_ell[: ell + 1, ell] = rows
-    amp = profiles_by_ell @ rows_by_ell  # (B, lmax + 1, n_r, n_theta)
-    if mode == "full":
-        plus, minus = amp[0] + 1j * amp[1], amp[2] + 1j * amp[3]
-        pairs = np.concatenate([plus + minus, 1j * (plus - minus)])
-    else:
-        pairs = np.concatenate([amp[0], -amp[1]])
+    for ell, rows in enumerate(_norm_legendre_degrees(lmax, np.cos(quad.theta)) if mats else ()):
+        if ell in mats:
+            rows_by_ell[: ell + 1, ell] = rows
+    # rows R_l^k(r) are elementwise in r, so a block of them is that slice
+    radial = {ell: _radial_zernike_rows(ell, mat.shape[1] - 1, quad.r) for ell, mat in mats.items()}
     angle = 2.0 * np.pi * (np.outer(np.arange(lmax + 1), np.arange(quad.n_phi)) % quad.n_phi)
     angle /= quad.n_phi
-    return np.tensordot(pairs, np.concatenate([np.cos(angle), np.sin(angle)]), axes=(0, 0))
+    phases = np.concatenate([np.cos(angle), np.sin(angle)])
+
+    def block(radii):
+        n = len(quad.r[radii])
+        profiles_by_ell = np.zeros((4 if mode == "full" else 2, lmax + 1, n, lmax + 1))
+        for ell, mat in mats.items():
+            profiles = mat @ radial[ell][:, radii]
+            profiles_by_ell[:, : ell + 1, :, ell] = profiles.reshape(-1, ell + 1, n)
+        amp = profiles_by_ell @ rows_by_ell  # (B, lmax + 1, n_r, n_theta)
+        if mode == "full":
+            plus, minus = amp[0] + 1j * amp[1], amp[2] + 1j * amp[3]
+            pairs = np.concatenate([plus + minus, 1j * (plus - minus)])
+        else:
+            pairs = np.concatenate([amp[0], -amp[1]])
+        return np.tensordot(pairs, phases, axes=(0, 0))
+
+    return block
 
 
 def basis_gram(quad: BallQuadrature, degree_cap: int):

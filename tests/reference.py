@@ -170,16 +170,64 @@ def project_entrywise(eta, kmax: int, degree_caps, quad: BallQuadrature) -> dict
     return entries
 
 
-def term_sum_loop(stage, coeffs: np.ndarray, stop=None) -> np.ndarray:
+def term_sum_loop(stage, x: np.ndarray, stop=None) -> np.ndarray:
     """``recon.CouplingStage.term_sum`` as one numpy pass per series term,
-    the form the whole-stage reduction replaced: each row's terms before
-    ``stop`` added one at a time from zero, real and imaginary parts apart."""
-    out = np.zeros(stage.size, dtype=complex)
+    the form the whole-stage reduction replaced: per row of the real
+    (B, columns) array ``x``, each stage row's terms before ``stop`` added
+    one at a time from zero."""
+    out = np.zeros((len(x), stage.size))
     for c, v in zip(stage.cols[:stop], stage.vals[:stop]):
-        x = coeffs[c]
-        out.real += v * x.real
-        out.imag += v * x.imag
+        out += v * x[:, c]
     return out
+
+
+def _full_row_stages(caps: tuple, op):
+    """Per stage, the (cols, vals) tables over every row (k, ell, m), |m| <=
+    ell, in packed order, with columns in the packed layout under
+    ``op.col_caps``: the operator as it was before it kept only the m >= 0
+    rows.  A row takes the values of its m >= 0 twin."""
+    col_base = np.cumsum([0] + [(cap + 1) ** 2 for cap in op.col_caps])
+    for k, (cap, st) in enumerate(zip(caps, op.stages)):
+        ell = np.repeat(np.arange(cap + 1), 2 * np.arange(cap + 1) + 1)
+        m = np.arange(ell.size) - ell * (ell + 1)
+        cols = [col_base[q] + (ell + 2 * s) * (ell + 2 * s + 1) + m
+                for q in range(k + 1) for s in range(k - q + 1)]
+        yield np.array(cols), st.vals[:, ell * (ell + 1) // 2 + np.abs(m)]
+
+
+def _complex_term_sum(cols, vals, coeffs):
+    out = np.zeros(vals.shape[1], dtype=complex)
+    for c, v in zip(cols, vals):
+        out.real += v * coeffs[c].real
+        out.imag += v * coeffs[c].imag
+    return out
+
+
+def forward_measure_full_rows(c, caps: tuple, op) -> np.ndarray:
+    """``forward.forward_measure``'s packed values over full rows, one row per
+    measurement and one pass per term, real and imaginary parts apart."""
+    coeffs = c._relaid(op.col_caps)[0]
+    return np.concatenate([_complex_term_sum(cols, vals, coeffs)
+                           for cols, vals in _full_row_stages(caps, op)])
+
+
+def reconstruct_full_rows(measured: np.ndarray, caps: tuple, op):
+    """``recon.reconstruct`` over full rows, from the packed measurements:
+    returns the packed solution, the least |divisor| and each stage's
+    largest |inner sum| (np.hypot over every row)."""
+    col_base = np.cumsum([0] + [(cap + 1) ** 2 for cap in op.col_caps])
+    coeffs = np.zeros(col_base[-1], dtype=complex)
+    start, floor, largest = 0, math.inf, []
+    for cols, vals in _full_row_stages(caps, op):
+        inner = _complex_term_sum(cols[:-1], vals[:-1], coeffs)
+        rhs = measured[start : start + len(inner)] - inner
+        coeffs.real[cols[-1]] = rhs.real / vals[-1]
+        coeffs.imag[cols[-1]] = rhs.imag / vals[-1]
+        floor = min(floor, float(np.abs(vals[-1]).min()))
+        largest.append(np.hypot(inner.real, inner.imag).max())
+        start += len(inner)
+    solution = np.concatenate([coeffs[b : b + (cap + 1) ** 2] for b, cap in zip(col_base, caps)])
+    return solution, floor, np.array(largest)
 
 
 def first_unsupported_demand_loop(c, caps: tuple):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,12 +24,14 @@ from calderon3d.recon import (
     validate_schedule,
 )
 from calderon3d.serialize import dump_measurement_set
-from calderon3d.zernike import CoefficientField, ZernikeIndex
+from calderon3d.zernike import CoefficientField, ZernikeIndex, _bases
 
 from reference import (
     big_d,
     big_q_factored,
+    forward_measure_full_rows,
     order_free_factor_fraction,
+    reconstruct_full_rows,
     tau_expanded,
     term_sum_loop,
 )
@@ -354,6 +357,33 @@ def test_divisor_underflow_warns(monkeypatch):
         reconstruct(ms, TruncationSchedule((1,)))
 
 
+def test_divisor_underflow_warns_once_per_row_in_order(monkeypatch):
+    # the operator keeps the m >= 0 rows; the warnings still name every
+    # (k, ell, m), m < 0 included, in (k, ell, m) order
+    caps = (2, 0)
+    ms = forward_measure(random_field(1, caps, np.random.default_rng(10)), 1, caps)
+    original = recon.coupling_operator
+
+    def tiny(caps):
+        op = original(caps)
+        stages = tuple(
+            dataclasses.replace(st, vals=np.vstack([st.vals[:-1], np.full(st.size, 1e-20)]))
+            for st in op.stages
+        )
+        return dataclasses.replace(op, stages=stages)
+
+    monkeypatch.setattr(recon, "coupling_operator", tiny)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        reconstruct(ms, TruncationSchedule(caps))
+    assert {w.category for w in caught} == {DivisorUnderflowWarning}
+    assert [str(w.message) for w in caught] == [
+        f"divisor |Q| = 1.000e-20 below 1e-14 at (k={k}, ell={ell}, m={m}); "
+        "the special functions are suspect"
+        for k, cap in enumerate(caps) for ell in range(cap + 1) for m in range(-ell, ell + 1)
+    ]
+
+
 def test_reconstructed_field_is_certified_within_schedule():
     rng = np.random.default_rng(11)
     caps = caps_for(1, 4)
@@ -387,21 +417,25 @@ def test_order_free_factor_equals_its_rational_form():
                     assert recon._order_free_factor(ell, s, k, q) == want == row[ell], (ell, s, k, q)
 
 
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
 def test_operator_entries_equal_big_q():
     caps = (8, 6, 4, 2)
     op = coupling_operator(caps)
-    # columns and rows are packed layouts: (q, ell, m) at base[q] + ell(ell+1) + m
+    # columns and rows are half layouts: (q, ell, m), m >= 0, at base[q] + ell(ell+1)/2 + m
     column = {
-        op.col_base[q] + ell * (ell + 1) + m: (q, ell, m)
+        op.col_base[q] + ell * (ell + 1) // 2 + m: (q, ell, m)
         for q in range(len(caps))
         for ell in range(op.col_caps[q] + 1)
-        for m in range(-ell, ell + 1)
+        for m in range(ell + 1)
     }
     keys = [
         ZernikeIndex(k, ell, m)
         for k, cap in enumerate(caps)
         for ell in range(cap + 1)
-        for m in range(-ell, ell + 1)
+        for m in range(ell + 1)
     ]
     assert op.stages[-1].start + op.stages[-1].size == len(keys)
     for k, st in enumerate(op.stages):
@@ -411,36 +445,100 @@ def test_operator_entries_equal_big_q():
             assert idx.k == k
             # the last term is the divisor, on the measurement's own coefficient
             assert column[int(st.cols[-1, row])] == (k, idx.ell, idx.m)
-            assert st.vals[-1, row] == big_q(idx.ell, 0, k, idx.m, k)
             # every term, in the series' (q, s) order
             got = [(column[int(c)], float(v)) for c, v in zip(st.cols[:, row], st.vals[:, row])]
             want = [(q, s) for q in range(k + 1) for s in range(k - q + 1)]
             assert [(q, (ell - idx.ell) // 2) for (q, ell, _), _ in got] == want
             for (q, ell, m), val in got:
                 assert m == idx.m
-                assert val == big_q(idx.ell, (ell - idx.ell) // 2, k, idx.m, q)
+                # Q is even in m: the row serves the orders m and -m
+                for order in (idx.m, -idx.m):
+                    assert _bits(val) == _bits(big_q(idx.ell, (ell - idx.ell) // 2, k, order, q))
+    # the maps to the packed layout: the slots of (k, ell, m) and (k, ell, -m)
+    base = _bases(caps)
+    assert op.rows.tolist() == [[base[i.k] + i.ell * (i.ell + 1) + sign * i.m for i in keys]
+                                for sign in (1, -1)]
+    assert op.cols is op.rows  # a feasible schedule needs no wider columns
 
 
-@pytest.mark.parametrize(
-    "caps",
-    [(16, 11, 7, 5, 3), (30, 26, 22, 18, 14, 10, 6), (48, 44, 40, 36, 32, 28, 24, 20), (3, 2, 1, 0, 0)],
-    ids=["S", "M", "L", "zero_fill"],
-)
+def test_operator_arrays_at_L_fit_in_0_55_of_the_full_rows():
+    # every array the cached operator keeps, each counted once; the full-row
+    # operator held 1,593,984 B
+    op = coupling_operator((48, 44, 40, 36, 32, 28, 24, 20))
+    held = [getattr(obj, f.name) for obj in (op, *op.stages) for f in dataclasses.fields(obj)]
+    arrays = {id(a): a for a in held if isinstance(a, np.ndarray)}
+    assert sum(a.nbytes for a in arrays.values()) <= 876_691  # 0.55 * 1,593,984
+    assert sum(st.vals.size for st in op.stages) == 51_492 and op.rows.shape == (2, 5_376)
+
+
+SCHEDULES = [(16, 11, 7, 5, 3), (30, 26, 22, 18, 14, 10, 6), (48, 44, 40, 36, 32, 28, 24, 20),
+             (3, 2, 1, 0, 0)]
+SCHEDULE_IDS = ["S", "M", "L", "zero_fill"]
+
+
+def _scattered(rng, n):
+    """n random floats over 13 decades, a fifth +0.0 and a fifth -0.0."""
+    out = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 7, n)
+    out[rng.random(n) < 0.2] = 0.0
+    out[rng.random(n) < 0.2] = -0.0
+    return out
+
+
+@pytest.mark.parametrize("caps", SCHEDULES, ids=SCHEDULE_IDS)
 def test_term_sum_adds_in_the_loops_order(caps):
     # (3, 2, 1, 0, 0) is infeasible, the zero-fill operator; its one-row
     # stages of 10 and 15 terms are where a pairwise sum would round apart
     op = coupling_operator(caps)
     rng = np.random.default_rng(19)
-    n = op.col_base[-1]
-    coeffs = np.empty(n, dtype=complex)
-    for part in (coeffs.real, coeffs.imag):
-        part[:] = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 7, n)
-        part[rng.random(n) < 0.2] = 0.0
-        part[rng.random(n) < 0.2] = -0.0
+    x = _scattered(rng, 16 * op.col_base[-1]).reshape(16, -1)
     for st in op.stages:
         for stop in (-1, None):
-            got, want = st.term_sum(coeffs, stop), term_sum_loop(st, coeffs, stop)
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            got, want = st.term_sum(x, stop), term_sum_loop(st, x, stop)
+            assert got.shape == want.shape == (16, st.size)
+            assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("caps", SCHEDULES, ids=SCHEDULE_IDS)
+def test_forward_and_reconstruct_equal_the_full_row_reference(caps):
+    op = coupling_operator(caps)
+    rng = np.random.default_rng(23)
+    n = _bases(op.col_caps)[-1]
+    c = CoefficientField._packed(_scattered(rng, 2 * n).view(complex), np.ones(n, dtype=bool),
+                                 op.col_caps)
+    ms = forward_measure(c, len(caps) - 1, caps)
+    assert np.array_equal(_bits(ms.data.view(float)),
+                          _bits(forward_measure_full_rows(c, caps, op).view(float)))
+    rep = reconstruct(ms, TruncationSchedule(caps), zero_fill=True)
+    solution, floor, largest = reconstruct_full_rows(ms.data, caps, op)
+    assert np.array_equal(_bits(rep.field.data.view(float)), _bits(solution.view(float)))
+    assert _bits(rep.min_divisor) == _bits(floor)
+    assert np.array_equal(_bits([s.max_inner_sum_magnitude for s in rep.stages]), _bits(largest))
+
+
+def test_inner_sum_diagnostic_equals_the_hypot_of_every_row():
+    # reconstruct takes np.hypot only where a stage's largest |inner sum| can
+    # be; measurements over 600 decades, subnormals, zeros, an infinity and a
+    # NaN must still give the largest of every row's hypot
+    caps = (16, 11, 7, 5, 3)
+    op = coupling_operator(caps)
+    rng = np.random.default_rng(29)
+    n = _bases(caps)[-1]
+    plain = rng.standard_normal(2 * n)
+    values = plain * 10.0 ** rng.integers(-300, 300, 2 * n)
+    values[rng.random(2 * n) < 0.1] = 0.0
+    values[rng.random(2 * n) < 0.1] = 5e-324
+    present = np.ones(n, dtype=bool)
+    for special in (0.0, None, np.inf, np.nan):
+        # plain normal values give many near rivals for each stage's largest
+        data = plain.copy() if special == 0.0 else values.copy()
+        if special:
+            data[2 * _bases(caps)[2] + 7] = special  # a stage-2 measurement
+        with np.errstate(all="ignore"):
+            rep = reconstruct(MeasurementSet._packed(data.view(complex), present, caps),
+                              TruncationSchedule(caps))
+            largest = reconstruct_full_rows(data.view(complex), caps, op)[2]
+        got = np.array([s.max_inner_sum_magnitude for s in rep.stages])
+        assert np.array_equal(got, largest, equal_nan=True), special
 
 
 def test_forward_and_reconstruct_share_one_operator():

@@ -301,6 +301,34 @@ def test_field_get_and_norms():
     assert f.norms_per_k() == pytest.approx([5.0, 1.0])
 
 
+def test_sum_of_squares_adds_left_to_right_as_the_generator_did():
+    # the generator form the array form replaced, a sequential sum in packed
+    # order (Python 3.11's sum(); 3.12's is compensated and rounds apart)
+    def sequential(values):
+        total = 0
+        for v in values:
+            total = total + abs(v) ** 2
+        return total
+
+    rng = np.random.default_rng(150)
+    caps = (9, 7, 5)
+    n = int(sum((c + 1) ** 2 for c in caps))
+    for trial in range(200):
+        scale = 10.0 ** rng.choice([-150, 0, 150], size=(n, 2))
+        parts = rng.standard_normal((n, 2)) * scale
+        parts[rng.random((n, 2)) < 0.2] = 0.0
+        present = rng.random(n) < 0.8
+        data = np.where(present, parts.view(complex)[:, 0], 0)
+        f = CoefficientField._packed(data, present, caps)
+        stored = data[present].tolist()
+        assert f.norm() == math.sqrt(sequential(stored)), trial
+        assert f.rms() == (math.sqrt(sequential(stored) / len(stored)) if stored else 0.0)
+        assert f.norms_per_k() == [math.sqrt(sequential(data[lo:hi][present[lo:hi]].tolist()))
+                                   for lo, hi in zip(f.base, f.base[1:])]
+    empty = CoefficientField({}, 1, 2)
+    assert empty.norm() == empty.rms() == 0.0 and empty.norms_per_k() == [0.0, 0.0]
+
+
 def test_field_conjugate_symmetry_error():
     sym = random_field(1, 3, RNG, real_sym=True)
     assert sym.conjugate_symmetry_error() <= 1e-15
@@ -703,8 +731,8 @@ def test_synthesis_working_memory_is_bounded_in_the_point_count():
 
 
 def test_cone_synthesis_peak_is_set_by_chebyshev_rows():
-    # On the z = 0 plane at caps 66, 64, ..., 48 every ring but the origin's
-    # lies on a cone, taken _CONE rings at a time.  Besides ~24 float64 per
+    # On the z = 0 plane at caps 66, 64, ..., 48 every ring lies on a cone,
+    # taken _CONE rings at a time.  Besides ~24 float64 per
     # point (coordinates, ring indices, the output), synthesis may keep one
     # piece's amplitudes, a fold of D + 1 columns and a few tables of D + 1
     # rows over a piece, D = 66 the largest degree ell + 2k; neither a table
@@ -852,11 +880,11 @@ def test_ring_stage_runs_once_per_distinct_ring(monkeypatch):
     synthesize_xyz(field, x, y, z)
     rings = len(set(zip(r.tolist(), th.tolist())))
     print(f"z = 0 slice: {x.size} points on {rings} rings")
-    # every ring but the origin's lies on theta = pi/2, a cone: only the
-    # origin ring, repeated to two columns, reaches the per-degree path, and
-    # the cones evaluate their Chebyshev rows once per distinct radius
-    assert received == [2] and rings == np.unique(r).size < x.size // 5
-    assert np.array_equal(np.sort(np.concatenate(radii)), np.unique(r[r > 0]))
+    # every ring, the origin's included, lies on theta = pi/2, a cone: no
+    # ring reaches the per-degree path, and the cones evaluate their
+    # Chebyshev rows once per distinct radius
+    assert received == [] and rings == np.unique(r).size < x.size // 5
+    assert np.array_equal(np.sort(np.concatenate(radii)), np.unique(r))
 
 
 def test_ring_heavy_synthesis_keeps_working_memory_bounded():
